@@ -8,9 +8,9 @@
 //! drift --json   # additionally dump BENCH_drift.json
 //! ```
 //!
-//! Two [`LotStream`]s consume bit-identical drifting lots (the lot
-//! measurements are a pure function of the seed, independent of the
-//! recalibration policy). The first keeps `refit_limit` high so every
+//! Two [`LotStream`](sidefp_core::LotStream)s consume bit-identical
+//! drifting lots (the lot measurements are a pure function of the seed,
+//! independent of the recalibration policy). The first keeps `refit_limit` high so every
 //! drift alarm is absorbed by the incremental tier (warm-started SMO,
 //! KMM re-weighting, KDE bandwidth refresh); the second sets
 //! `refit_limit = 0`, forcing a full S3–S5 refit on every alarm. Each

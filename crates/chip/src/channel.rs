@@ -256,7 +256,7 @@ pub enum ChannelSpec {
 
 impl ChannelSpec {
     /// The underlying channel model as a trait object.
-    pub fn as_channel(&self) -> &dyn SideChannel {
+    pub(crate) fn as_channel(&self) -> &dyn SideChannel {
         match self {
             ChannelSpec::Power(c) => c,
             ChannelSpec::SupplyCurrent(c) => c,

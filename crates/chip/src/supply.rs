@@ -51,7 +51,7 @@ impl SupplyCurrentMeter {
     /// Per-transition charge of the die, normalized to 1.0 at the typical
     /// corner: load capacitance (`∝ 1/t_ox`) times supply, modulated by
     /// the short-circuit component that tracks drive strength.
-    pub fn charge_per_transition(process: &ProcessPoint) -> f64 {
+    pub(crate) fn charge_per_transition(process: &ProcessPoint) -> f64 {
         let cox = ProcessParameter::OxideThickness.nominal()
             / process.get(ProcessParameter::OxideThickness);
         let drive = device_models::gate_delay(&ProcessPoint::nominal())

@@ -237,7 +237,7 @@ impl FittedModel {
         )?;
         Ok(FittedModel {
             seed: config.seed,
-            fingerprint_dim: config.fingerprint_blocks,
+            fingerprint_dim: arts.silicon.dutts.fingerprints().ncols(),
             pcm_dim: pcms.ncols(),
             space: config.regression_space,
             sanitizer: config.sanitizer,
@@ -299,11 +299,6 @@ impl FittedModel {
     /// derived from the fitting run's silicon reference population.
     pub fn sanitizer_thresholds(&self) -> &SanitizerThresholds {
         &self.sanitizer_thresholds
-    }
-
-    /// Per-column medians of the fitting run's silicon PCMs.
-    pub fn pcm_medians(&self) -> &[f64] {
-        &self.pcm_medians
     }
 
     /// Synthesizes a deterministic scoring batch of `n` devices:

@@ -122,7 +122,7 @@ impl PaperExperiment {
     ///
     /// Like [`PaperExperiment::run_in_context`], the whole setup executes
     /// inside the configured worker pool; later `advance` calls use the
-    /// ambient pool of their own call site.
+    /// worker count in effect at their own call site.
     ///
     /// # Errors
     ///

@@ -54,43 +54,29 @@ impl FingerprintPredictor {
         fingerprints: &Matrix,
         kind: &RegressorKind,
     ) -> Result<Self, CoreError> {
-        Self::fit_in_space(pcms, fingerprints, kind, RegressionSpace::Linear)
-    }
-
-    /// Fits in the chosen coordinate space. [`RegressionSpace::Log`]
-    /// regresses `ln(m_j)` on `ln(m_p)` — the natural coordinates when the
-    /// underlying physics is multiplicative (power laws), which makes
-    /// extrapolation beyond the simulated PCM range far better behaved.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FingerprintPredictor::fit`], plus
-    /// [`CoreError::InvalidConfig`] if log space is requested for
-    /// non-positive data.
-    pub fn fit_in_space(
-        pcms: &Matrix,
-        fingerprints: &Matrix,
-        kind: &RegressorKind,
-        space: RegressionSpace,
-    ) -> Result<Self, CoreError> {
         Self::fit_in_space_observed(
             pcms,
             fingerprints,
             kind,
-            space,
+            RegressionSpace::Linear,
             &sidefp_obs::RunContext::new(),
         )
     }
 
-    /// [`FingerprintPredictor::fit_in_space`] recording into `obs` instead
-    /// of the throwaway context: each per-column MARS fit emits a
+    /// Fits in the chosen coordinate space, recording into `obs`.
+    /// [`RegressionSpace::Log`] regresses `ln(m_j)` on `ln(m_p)` — the
+    /// natural coordinates when the underlying physics is multiplicative
+    /// (power laws), which makes extrapolation beyond the simulated PCM
+    /// range far better behaved. Each per-column MARS fit emits a
     /// `model_fit` trace event (its surviving basis count) and any
     /// ridge-escalation rescue of the polynomial baseline lands on the
     /// run's own solver-health counters.
     ///
     /// # Errors
     ///
-    /// Same as [`FingerprintPredictor::fit_in_space`].
+    /// Same as [`FingerprintPredictor::fit`], plus
+    /// [`CoreError::InvalidConfig`] if log space is requested for
+    /// non-positive data.
     pub fn fit_in_space_observed(
         pcms: &Matrix,
         fingerprints: &Matrix,

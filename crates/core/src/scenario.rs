@@ -120,7 +120,7 @@ impl Scenario {
 
     /// `true` for a cell measuring more than the paper's single power
     /// channel.
-    pub fn is_multi_parameter(&self) -> bool {
+    pub(crate) fn is_multi_parameter(&self) -> bool {
         let specs = self.channels.channels();
         specs.len() > 1 || !matches!(specs.first(), Some(ChannelSpec::Power(_)))
     }

@@ -4,7 +4,7 @@
 //! artifact once and streams wafer-lot-sized batches (10⁴–10⁶ devices)
 //! through sanitize → standardize → SVM decision, never touching a fit
 //! stage. The scorer pools its per-batch scratch in a
-//! [`Workspace`](sidefp_linalg::Workspace), so steady-state batches reuse
+//! [`Workspace`], so steady-state batches reuse
 //! the same buffers, and the strict per-device path
 //! ([`BatchScorer::score_into`]) performs zero heap allocations.
 //!

@@ -103,11 +103,6 @@ impl Testbench {
         self.channels.width(&self.plan)
     }
 
-    /// Names of all fingerprint columns, in layout order.
-    pub fn fingerprint_columns(&self) -> Vec<String> {
-        self.channels.column_names(&self.plan)
-    }
-
     /// The PCM suite.
     pub fn pcm_suite(&self) -> &PcmSuite {
         &self.pcm_suite
@@ -134,7 +129,6 @@ mod tests {
         // Default stack: the paper's single power channel, 6 columns.
         assert_eq!(a.channels().channel_names(), vec!["power"]);
         assert_eq!(a.fingerprint_width(), 6);
-        assert_eq!(a.fingerprint_columns()[0], "power[0]");
     }
 
     #[test]

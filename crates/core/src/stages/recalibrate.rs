@@ -21,8 +21,8 @@
 //!    from scratch, exactly like the first (calibration) lot.
 //!
 //! Every decision is pinned in the run's trace ring as a
-//! [`TraceEvent::LotDecision`] and tallied in a
-//! [`RecalHealth`](crate::health::RecalHealth) block. Synthetic drift is
+//! [`TraceEvent::LotDecision`](sidefp_obs::TraceEvent::LotDecision) and
+//! tallied in a [`RecalHealth`] block. Synthetic drift is
 //! supplied by a seed-deterministic [`DriftPlan`], applied to the raw
 //! tester matrices between measurement and sanitization — where a real
 //! excursion would enter the data.

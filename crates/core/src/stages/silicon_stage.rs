@@ -103,10 +103,11 @@ impl SiliconStage {
         Self::run_observed(config, bench, pre, rng, &sidefp_obs::RunContext::new())
     }
 
-    /// [`SiliconStage::run`] recording into `obs` instead of the ambient
-    /// compat context: the `measure`/`kmm`/`kde.s5` spans, the B3–B5
-    /// boundary fits, every solver rescue and each quarantined device land
-    /// on the run's own timings, counters and trace ring.
+    /// [`SiliconStage::run`] recording into the caller's [`RunContext`]
+    /// `obs` instead of a throwaway one: the `measure`/`kmm`/`kde.s5`
+    /// spans, the B3–B5 boundary fits, every solver rescue and each
+    /// quarantined device land on the run's own timings, counters and
+    /// trace ring.
     ///
     /// # Errors
     ///

@@ -140,15 +140,6 @@ impl SymmetricEigen {
     pub fn eigenvectors(&self) -> &Matrix {
         &self.eigenvectors
     }
-
-    /// The `k`-th eigenvector as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn eigenvector(&self, k: usize) -> Vec<f64> {
-        self.eigenvectors.col(k)
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +164,7 @@ mod tests {
         assert!((e.eigenvalues()[0] - 3.0).abs() < 1e-12);
         assert!((e.eigenvalues()[1] - 1.0).abs() < 1e-12);
         // Eigenvector for 3 is (1,1)/sqrt(2) up to sign.
-        let v = e.eigenvector(0);
+        let v = e.eigenvectors().col(0);
         assert!((v[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
         assert!((v[0] - v[1]).abs() < 1e-10);
     }
@@ -183,7 +174,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 2.0]]).unwrap();
         let e = a.symmetric_eigen().unwrap();
         for k in 0..3 {
-            let v = e.eigenvector(k);
+            let v = e.eigenvectors().col(k);
             let av = a.matvec(&v).unwrap();
             let lv: Vec<f64> = v.iter().map(|x| x * e.eigenvalues()[k]).collect();
             for (x, y) in av.iter().zip(&lv) {
@@ -232,6 +223,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[7.0]]).unwrap();
         let e = a.symmetric_eigen().unwrap();
         assert_eq!(e.eigenvalues(), &[7.0]);
-        assert_eq!(e.eigenvector(0), vec![1.0]);
+        assert_eq!(e.eigenvectors().col(0), vec![1.0]);
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! Each output element is one ascending-`k` accumulation into a single
 //! accumulator — exactly the fold of the classic i-k-j triple loop — so
-//! the raw product is **bit-identical** to [`Matrix::matmul`] on finite
-//! inputs, at any thread count, with any blocking. (`KC` blocking stores
+//! the raw product is **bit-identical** to the naive triple loop on finite
+//! inputs, at any thread count, with any blocking. [`Matrix::matmul`] is
+//! [`gemm_nn`] behind a shape check. (`KC` blocking stores
 //! and reloads the f64 accumulator between panels, which is exact.) The
 //! squared-distance epilogue preserves the historical expression
 //! verbatim and is bit-identical to the unfused two-pass path; the RBF
@@ -24,7 +25,7 @@
 //! within ~3e-13 relative.
 //!
 //! Parallelism uses deterministic guided scheduling
-//! ([`sidefp_parallel::for_each_split_mut_guided`]): row stripes form a
+//! ([`sidefp_parallel::for_each_split_mut`]): row stripes form a
 //! precomputed tile queue, workers claim stripes via an atomic counter,
 //! and every stripe is written only to its own pre-split output slot —
 //! the claim order can vary, the bytes cannot.
@@ -46,9 +47,6 @@ const KC: usize = 256;
 /// Rows per parallel stripe (one guided-queue task); a multiple of [`MR`]
 /// and [`NR`] so symmetric stripes start on tile boundaries.
 const MC: usize = 64;
-/// `m·n·k` floor above which [`Matrix::matmul`] routes here; below it the
-/// packing overhead is not worth amortizing.
-pub(crate) const PACK_THRESHOLD: usize = 32 * 1024;
 
 thread_local! {
     /// Per-thread panel-buffer pool. Thread-local rather than caller-passed
@@ -212,7 +210,7 @@ pub fn syrk_fused(a: &Matrix, epilogue: &Epilogue<'_>, out: &mut Matrix) {
 /// Unlike [`gemm_nt_fused`], the kernel block is never materialized at
 /// full size (for a scoring batch that would be an `n×nsv` matrix written
 /// and re-read through main memory). `sv` is packed once, query rows
-/// stream through in [`MC`]-row chunks whose kernel block stays
+/// stream through in `MC`-row (64-row) chunks whose kernel block stays
 /// cache-resident, and each chunk is reduced against `coeffs` right after
 /// its fused RBF epilogue. Chunks fan out through the guided tile queue
 /// and write only their own `out` rows, so results are bit-identical at
@@ -294,7 +292,7 @@ pub fn rbf_expansion_rows(x: &Matrix, sv: &Matrix, gamma: f64, coeffs: &[f64], o
         b_norms: &sv_norms,
     };
     let (bpack_ref, stripes_ref) = (&bpack, &stripe_starts);
-    sidefp_parallel::for_each_split_mut_guided(out, &cuts, |c, seg| {
+    sidefp_parallel::for_each_split_mut(out, &cuts, |c, seg| {
         let row0 = stripes_ref[c];
         let rows = seg.len();
         let npanels_i = rows.div_ceil(MR);
@@ -413,7 +411,7 @@ fn run(a: &Matrix, bside: BSide<'_>, upper: bool, epi: &Epilogue<'_>, out: &mut 
         }
 
         let bpack_ref = &bpack;
-        sidefp_parallel::for_each_split_mut_guided(out.as_mut_slice(), &cuts, |s, stripe| {
+        sidefp_parallel::for_each_split_mut(out.as_mut_slice(), &cuts, |s, stripe| {
             let row0 = stripe_starts[s];
             let rows = MC.min(m - row0);
             // Symmetric fills only need columns j ≥ row0; MC is a multiple

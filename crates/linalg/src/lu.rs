@@ -147,7 +147,7 @@ impl Lu {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.nrows() != dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
         let n = self.dim();
         if b.nrows() != n {
             return Err(LinalgError::DimensionMismatch {

@@ -127,15 +127,6 @@ impl Matrix {
         Matrix::from_rows(&refs)
     }
 
-    /// Creates a single-column matrix from a slice.
-    pub fn column_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.rows
@@ -307,13 +298,10 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `A * B`.
-    ///
-    /// Output rows are computed in parallel row blocks (one per worker),
-    /// and the inner loops walk `k` in cache-friendly panels so a panel of
-    /// `rhs` rows stays hot while a block of output rows accumulates.
-    /// Each output element is an identical i-k-j accumulation regardless
-    /// of the blocking, so results match the naive triple loop exactly.
+    /// Matrix product `A * B` through the packed-panel GEMM
+    /// ([`crate::gemm::gemm_nn`]). Each output element is one ascending-`k`
+    /// fold, so results match the naive triple loop exactly at any thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -326,43 +314,11 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        // Panel height over the shared dimension: a panel of rhs (64 rows
-        // × ncols) is revisited for every output row in a block, so it
-        // should fit comfortably in L1/L2.
-        const K_PANEL: usize = 64;
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         if self.rows == 0 || rhs.cols == 0 || self.cols == 0 {
             return Ok(out);
         }
-        // Large products go through the packed-panel micro-kernel. Both
-        // paths compute each output element as the same single ascending-k
-        // fold, so the dispatch threshold is value-invisible.
-        if self.rows * rhs.cols * self.cols >= crate::gemm::PACK_THRESHOLD {
-            crate::gemm::gemm_nn(self, rhs, &mut out);
-            return Ok(out);
-        }
-        let ncols = rhs.cols;
-        let row_blocks = sidefp_parallel::split_even(self.rows, sidefp_parallel::current_threads());
-        let cuts: Vec<usize> = row_blocks.iter().skip(1).map(|r| r.start * ncols).collect();
-        sidefp_parallel::for_each_split_mut(out.as_mut_slice(), &cuts, |block, slice| {
-            let rows = row_blocks[block].clone();
-            for k0 in (0..self.cols).step_by(K_PANEL) {
-                let k1 = (k0 + K_PANEL).min(self.cols);
-                for (local, i) in rows.clone().enumerate() {
-                    let orow = &mut slice[local * ncols..(local + 1) * ncols];
-                    for k in k0..k1 {
-                        let a = self[(i, k)];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let rrow = rhs.row(k);
-                        for (o, b) in orow.iter_mut().zip(rrow) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        });
+        crate::gemm::gemm_nn(self, rhs, &mut out);
         Ok(out)
     }
 
@@ -449,15 +405,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Builds a square matrix with `values` on the diagonal.
-    pub fn from_diagonal(values: &[f64]) -> Matrix {
-        let mut m = Matrix::zeros(values.len(), values.len());
-        for (i, v) in values.iter().enumerate() {
-            m[(i, i)] = *v;
-        }
-        m
-    }
-
     /// Frobenius norm `sqrt(Σ a_ij²)`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -521,27 +468,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Concatenates `self` and `other` side by side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
     }
 
     /// Per-column means; empty matrix yields an empty vector.
@@ -865,11 +791,7 @@ mod tests {
         let v = a.vstack(&b).unwrap();
         assert_eq!(v.shape(), (2, 2));
         assert!(near(v[(1, 0)], 3.0));
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (1, 4));
-        assert!(near(h[(0, 3)], 4.0));
         assert!(a.vstack(&Matrix::zeros(1, 3)).is_err());
-        assert!(a.hstack(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -935,9 +857,6 @@ mod tests {
         assert_eq!(m.diagonal(), vec![1.0, 4.0]);
         assert!(Matrix::zeros(2, 3).trace().is_err());
         assert_eq!(Matrix::zeros(2, 3).diagonal(), vec![0.0, 0.0]);
-        let d = Matrix::from_diagonal(&[2.0, 5.0]);
-        assert_eq!(d.trace().unwrap(), 7.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

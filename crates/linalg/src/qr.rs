@@ -230,7 +230,7 @@ impl Qr {
 /// the stored reflections in order (in their *unnormalized* form, as the
 /// eager trailing-column updates apply them), then contributes its own
 /// reflector; `Qᵀ·y` is maintained with the *normalized* form
-/// [`Qr::apply_qt`] uses. Every fold runs in the same order on the same
+/// `Qr::apply_qt` uses. Every fold runs in the same order on the same
 /// values, so [`QrBuilder::rss`] is bit-identical to
 /// [`Qr::residual_sum_of_squares`] on the equivalent full factorization.
 #[derive(Debug, Clone)]

@@ -16,7 +16,7 @@
 /// Dot product of two slices.
 ///
 /// Lengths up to 8 — the 6-dim fingerprint vectors and every PCM suite in
-/// the workspace — dispatch to the monomorphized [`dot_fixed`] (fully
+/// the workspace — dispatch to the monomorphized `dot_fixed` (fully
 /// unrolled, no trip-count branching); the result is bit-identical either
 /// way.
 ///
@@ -74,7 +74,7 @@ fn dot_any(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Panics if either slice's length differs from `N`.
 #[inline]
-pub fn dot_fixed<const N: usize>(a: &[f64], b: &[f64]) -> f64 {
+fn dot_fixed<const N: usize>(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), N, "dot_fixed: length mismatch");
     assert_eq!(b.len(), N, "dot_fixed: length mismatch");
     let split = N & !3;
@@ -105,7 +105,7 @@ pub fn norm(a: &[f64]) -> f64 {
 /// Squared Euclidean distance between two slices.
 ///
 /// Lengths up to 8 dispatch to the monomorphized
-/// [`squared_distance_fixed`]; the result is bit-identical either way.
+/// `squared_distance_fixed`; the result is bit-identical either way.
 ///
 /// # Panics
 ///
@@ -150,13 +150,13 @@ fn squared_distance_any(a: &[f64], b: &[f64]) -> f64 {
 
 /// Squared Euclidean distance monomorphized for the compile-time length
 /// `N`, with the exact accumulation layout of [`squared_distance`] — see
-/// [`dot_fixed`] for why the results are bit-identical.
+/// `dot_fixed` for why the results are bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if either slice's length differs from `N`.
 #[inline]
-pub fn squared_distance_fixed<const N: usize>(a: &[f64], b: &[f64]) -> f64 {
+fn squared_distance_fixed<const N: usize>(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), N, "squared_distance_fixed: length mismatch");
     assert_eq!(b.len(), N, "squared_distance_fixed: length mismatch");
     let split = N & !3;
@@ -317,7 +317,7 @@ pub fn add_scaled_diff(out: &mut [f64], s: f64, a: &[f64], b: &[f64]) {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
+pub(crate) fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
     let mut out = a.to_vec();
     axpy_mut(&mut out, s, b);
     out

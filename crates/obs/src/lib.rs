@@ -346,7 +346,7 @@ impl RunContext {
     /// Creates an empty context whose trace ring holds at most `capacity`
     /// events (oldest events are dropped first; `capacity` is clamped to at
     /// least 1).
-    pub fn with_trace_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_trace_capacity(capacity: usize) -> Self {
         RunContext {
             inner: Arc::new(Inner {
                 counters: Counters::default(),
@@ -524,17 +524,6 @@ impl RunContext {
             lot,
             decision,
             detail: detail.into(),
-        });
-    }
-
-    /// Convenience: records a [`TraceEvent::BatchScored`] with the given
-    /// fields.
-    pub fn trace_batch_scored(&self, batch: usize, devices: usize, kept: usize, flagged: usize) {
-        self.trace(TraceEvent::BatchScored {
-            batch,
-            devices,
-            kept,
-            flagged,
         });
     }
 

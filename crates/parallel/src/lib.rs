@@ -10,30 +10,27 @@
 //! - **Order-preserving fan-out.** [`map_indexed`] splits `0..len` into
 //!   contiguous blocks, one per worker, and reassembles results in index
 //!   order — callers observe exactly the sequential result layout.
-//! - **Disjoint mutable splits.** [`for_each_split_mut`] hands each worker
-//!   a caller-chosen contiguous sub-slice of one buffer (via repeated
-//!   `split_at_mut`), which is how symmetric Gram rows and matmul row
-//!   blocks are filled in place without locks.
+//! - **Disjoint mutable splits.** [`for_each_split_mut`] cuts one buffer
+//!   into caller-chosen contiguous parts (via repeated `split_at_mut`) and
+//!   lets the workers drain them as a tile queue, which is how GEMM row
+//!   stripes and feature-map rows are filled in place without locks.
 //! - **Deterministic RNG streams.** [`fork_seed`] derives independent
 //!   per-item seeds from a master seed, so stochastic results are a pure
 //!   function of the seed — identical at any thread count.
 //!
 //! Thread count resolution: a scoped override installed by
-//! [`with_threads`] wins, then the process-wide value from
-//! [`set_threads`], then `std::thread::available_parallelism()` — probed
-//! once and cached, because on Linux each probe re-reads the cgroup CPU
-//! quota files and heap-allocates, which would put `malloc` back on every
-//! allocation-free hot path that asks for the thread count. Worker
+//! [`with_threads`] wins, then `std::thread::available_parallelism()` —
+//! probed once and cached, because on Linux each probe re-reads the
+//! cgroup CPU quota files and heap-allocates, which would put `malloc`
+//! back on every allocation-free hot path that asks for the thread
+//! count. Worker
 //! threads run with an override of 1, so nested parallel calls inside a
 //! parallel section execute sequentially instead of oversubscribing.
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Process-wide thread count; 0 means "auto" (hardware parallelism).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Cached `available_parallelism()` result; 0 means "not probed yet".
 static DETECTED_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -53,9 +50,6 @@ fn detected_threads() -> usize {
     probed
 }
 
-/// Process-wide strict-determinism flag (see [`set_deterministic`]).
-static GLOBAL_DETERMINISTIC: AtomicBool = AtomicBool::new(true);
-
 thread_local! {
     /// Scoped override; 0 means "no override in effect".
     static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
@@ -63,20 +57,11 @@ thread_local! {
     static SCOPED_DETERMINISM: Cell<u8> = const { Cell::new(0) };
 }
 
-/// Sets the process-wide worker count. `0` restores auto-detection.
-pub fn set_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::Relaxed);
-}
-
 /// The worker count parallel primitives will use on this thread right now.
-pub fn current_threads() -> usize {
+fn current_threads() -> usize {
     let scoped = SCOPED_THREADS.get();
     if scoped != 0 {
         return scoped;
-    }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global != 0 {
-        return global;
     }
     detected_threads()
 }
@@ -100,28 +85,18 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Sets the process-wide determinism policy for floating-point
-/// reductions. Strict (`true`, the default) makes [`reduce_sum`] use a
-/// fixed partial-sum layout independent of the worker count, so results
-/// are bit-identical at any thread count; relaxed (`false`) lets the
-/// layout follow the worker count for slightly less bookkeeping.
-pub fn set_deterministic(strict: bool) {
-    GLOBAL_DETERMINISTIC.store(strict, Ordering::Relaxed);
-}
-
 /// Whether strict (thread-count-independent) reductions are in effect on
-/// this thread right now.
+/// this thread right now. Strict is the default: [`reduce_sum`] then uses
+/// a fixed partial-sum layout independent of the worker count, so results
+/// are bit-identical at any thread count.
 pub fn deterministic() -> bool {
-    match SCOPED_DETERMINISM.get() {
-        1 => true,
-        2 => false,
-        _ => GLOBAL_DETERMINISTIC.load(Ordering::Relaxed),
-    }
+    SCOPED_DETERMINISM.get() != 2
 }
 
 /// Runs `f` with the determinism policy pinned to `strict` on this thread
 /// (and anything it calls); the previous policy is restored on exit,
-/// including on panic.
+/// including on panic. Relaxed (`false`) lets the [`reduce_sum`] layout
+/// follow the worker count for slightly less bookkeeping.
 pub fn with_determinism<T>(strict: bool, f: impl FnOnce() -> T) -> T {
     struct Restore(u8);
     impl Drop for Restore {
@@ -135,10 +110,9 @@ pub fn with_determinism<T>(strict: bool, f: impl FnOnce() -> T) -> T {
 }
 
 /// Pins a worker closure to sequential execution so parallel calls nested
-/// inside a parallel section don't oversubscribe. The determinism policy
-/// is inherited from the spawning thread by the caller passing it along —
-/// workers only read the global here, so [`reduce_sum`] re-checks policy
-/// before fan-out instead of inside workers.
+/// inside a parallel section don't oversubscribe. Workers start with the
+/// default (strict) determinism policy, so [`reduce_sum`] checks the
+/// policy before fan-out instead of inside workers.
 fn serialized<T>(f: impl FnOnce() -> T) -> T {
     SCOPED_THREADS.set(1);
     f()
@@ -151,8 +125,8 @@ const STRICT_SUM_CHUNK: usize = 512;
 
 /// Sums `term(i)` over `0..len` with blocked partial sums.
 ///
-/// In strict mode (see [`set_deterministic`]) partial sums are formed
-/// over fixed [`STRICT_SUM_CHUNK`]-wide chunks and combined in chunk
+/// In strict mode (see [`deterministic`]) partial sums are formed
+/// over fixed `STRICT_SUM_CHUNK`-wide (512) chunks and combined in chunk
 /// order, so the floating-point result is a pure function of the input —
 /// identical at any thread count. In relaxed mode the chunk layout
 /// follows the current worker count.
@@ -178,7 +152,7 @@ where
 
 /// Sequential strict-chunked sum: the allocation-free counterpart of
 /// [`reduce_sum`] in strict mode. Partial sums are formed over the same
-/// fixed [`STRICT_SUM_CHUNK`]-wide layout and combined in chunk order, so
+/// fixed-width chunk layout and combined in chunk order, so
 /// the result is bit-identical to a strict-mode [`reduce_sum`] at any
 /// thread count — but nothing is spawned and nothing is allocated, which
 /// makes it the right reduction inside steady-state scoring loops.
@@ -209,7 +183,7 @@ where
 
 /// Splits `0..len` into at most `parts` contiguous, near-equal,
 /// non-empty ranges covering `0..len` in order.
-pub fn split_even(len: usize, parts: usize) -> Vec<Range<usize>> {
+fn split_even(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -258,8 +232,22 @@ where
 
 /// Splits `data` at the caller-chosen ascending `cuts` (offsets into
 /// `data`, excluding 0 and `data.len()`) and applies `f(part_index,
-/// part_slice)` to each part concurrently. The parts are disjoint, so
-/// each worker mutates its slice free of any synchronization.
+/// part_slice)` to each part concurrently.
+///
+/// The parts form a precomputed tile queue that `min(threads, parts)`
+/// workers drain via an atomic claim counter. A worker that finishes a
+/// cheap tile immediately claims the next one, so imbalanced tile costs
+/// (triangle-shaped Gram fills, edge panels of a blocked GEMM) do not
+/// leave workers idle; with one part per worker the queue is a plain
+/// fixed split.
+///
+/// Determinism: which worker computes a part varies run to run, but each
+/// part is computed exactly once and written only to its own pre-split
+/// slice (its "owner slot"). As long as `f`'s output for a part depends
+/// only on the part index and slice — never on claim order or timing —
+/// the buffer contents are bit-identical at any thread count, including
+/// one: with a single worker the queue degenerates to the plain
+/// sequential loop with no atomics, locks, spawns or allocations.
 ///
 /// # Panics
 ///
@@ -271,96 +259,15 @@ where
 {
     let threads = current_threads();
     if threads <= 1 || cuts.is_empty() {
-        if threads <= 1 {
-            let mut rest = data;
-            let mut prev = 0;
-            for (i, &cut) in cuts.iter().enumerate() {
-                assert!(
-                    cut > prev && cut < prev + rest.len(),
-                    "cuts must ascend inside data"
-                );
-                let (part, tail) = rest.split_at_mut(cut - prev);
-                f(i, part);
-                prev = cut;
-                rest = tail;
-            }
-            f(cuts.len(), rest);
-        } else {
-            f(0, data);
+        for (i, part) in split_at_cuts(data, cuts).enumerate() {
+            f(i, part);
         }
         return;
     }
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut prev = 0;
-        for (i, &cut) in cuts.iter().enumerate() {
-            assert!(
-                cut > prev && cut < prev + rest.len(),
-                "cuts must ascend inside data"
-            );
-            let (part, tail) = rest.split_at_mut(cut - prev);
-            let f = &f;
-            scope.spawn(move || serialized(|| f(i, part)));
-            prev = cut;
-            rest = tail;
-        }
-        let f = &f;
-        let last = cuts.len();
-        scope.spawn(move || serialized(|| f(last, rest)));
-    });
-}
-
-/// Deterministic guided scheduling over the caller's split of one buffer.
-///
-/// Same contract as [`for_each_split_mut`] — `data` is split at the
-/// ascending `cuts` and `f(part_index, part_slice)` runs once per part —
-/// but instead of pinning one part per spawned worker, the parts form a
-/// precomputed tile queue that `min(threads, parts)` workers drain via an
-/// atomic claim counter. A worker that finishes a cheap tile immediately
-/// claims the next one, so imbalanced tile costs (triangle-shaped Gram
-/// fills, edge panels of a blocked GEMM) no longer leave workers idle.
-///
-/// Determinism: which worker computes a part varies run to run, but each
-/// part is computed exactly once and written only to its own pre-split
-/// slice (its "owner slot"). As long as `f`'s output for a part depends
-/// only on the part index and slice — never on claim order or timing —
-/// the buffer contents are bit-identical at any thread count, including
-/// one: with a single worker the queue degenerates to the plain
-/// sequential loop with no atomics, locks, or spawns.
-///
-/// # Panics
-///
-/// Panics if `cuts` is not strictly ascending within `0..data.len()`.
-pub fn for_each_split_mut_guided<T, F>(data: &mut [T], cuts: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let threads = current_threads();
-    if threads <= 1 || cuts.is_empty() {
-        // Zero-overhead path: identical traversal to for_each_split_mut.
-        for_each_split_mut(data, cuts, f);
-        return;
-    }
-    // Pre-split the buffer into owner slots. The Mutex only guards the
-    // Option take — one uncontended lock per tile, negligible against any
-    // real tile computation.
     let nparts = cuts.len() + 1;
-    let mut parts: Vec<Option<&mut [T]>> = Vec::with_capacity(nparts);
-    let mut rest = data;
-    let mut prev = 0;
-    for &cut in cuts {
-        assert!(
-            cut > prev && cut < prev + rest.len(),
-            "cuts must ascend inside data"
-        );
-        let (part, tail) = rest.split_at_mut(cut - prev);
-        parts.push(Some(part));
-        prev = cut;
-        rest = tail;
-    }
-    parts.push(Some(rest));
-    let slots = Mutex::new(parts);
+    // The Mutex only guards the Option take — one uncontended lock per
+    // tile, negligible against any real tile computation.
+    let slots = Mutex::new(split_at_cuts(data, cuts).map(Some).collect::<Vec<_>>());
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(nparts) {
@@ -382,6 +289,30 @@ where
             });
         }
     });
+}
+
+/// The `cuts.len() + 1` parts of `data` split at the ascending `cuts`.
+fn split_at_cuts<'a, T>(
+    data: &'a mut [T],
+    cuts: &'a [usize],
+) -> impl Iterator<Item = &'a mut [T]> + 'a {
+    let mut rest = Some(data);
+    let mut prev = 0;
+    let mut cuts = cuts.iter();
+    std::iter::from_fn(move || {
+        let tail = rest.take()?;
+        let Some(&cut) = cuts.next() else {
+            return Some(tail);
+        };
+        assert!(
+            cut > prev && cut < prev + tail.len(),
+            "cuts must ascend inside data"
+        );
+        let (part, tail) = tail.split_at_mut(cut - prev);
+        prev = cut;
+        rest = Some(tail);
+        Some(part)
+    })
 }
 
 /// Applies `f(row_index, row)` to every `ncols`-wide row of a row-major
@@ -568,36 +499,34 @@ mod tests {
     }
 
     #[test]
-    fn guided_split_matches_fixed_split_at_any_thread_count() {
-        // Same parts, same contract; the guided queue must produce the
-        // identical buffer no matter how many workers drain it.
+    fn for_each_split_mut_identical_at_any_thread_count() {
+        // The tile queue must produce the identical buffer no matter how
+        // many workers drain it.
         let cuts = [3usize, 9, 15, 16];
-        let mut reference = vec![0usize; 20];
-        for_each_split_mut(&mut reference, &cuts, |part, slice| {
-            for (off, v) in slice.iter_mut().enumerate() {
-                *v = part * 100 + off;
-            }
-        });
-        for threads in [1, 2, 3, 8] {
+        let fill = |threads: usize| {
             let mut data = vec![0usize; 20];
             with_threads(threads, || {
-                for_each_split_mut_guided(&mut data, &cuts, |part, slice| {
+                for_each_split_mut(&mut data, &cuts, |part, slice| {
                     for (off, v) in slice.iter_mut().enumerate() {
                         *v = part * 100 + off;
                     }
                 });
             });
-            assert_eq!(data, reference, "threads={threads}");
+            data
+        };
+        let reference = fill(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(fill(threads), reference, "threads={threads}");
         }
     }
 
     #[test]
-    fn guided_split_visits_every_part_exactly_once() {
+    fn for_each_split_mut_visits_every_part_exactly_once() {
         for threads in [1, 4] {
             let counts: Vec<AtomicUsize> = (0..7).map(|_| AtomicUsize::new(0)).collect();
             let mut data = vec![0u8; 70];
             with_threads(threads, || {
-                for_each_split_mut_guided(&mut data, &[10, 20, 30, 40, 50, 60], |part, _| {
+                for_each_split_mut(&mut data, &[10, 20, 30, 40, 50, 60], |part, _| {
                     counts[part].fetch_add(1, Ordering::Relaxed);
                 });
             });
@@ -613,10 +542,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cuts must ascend")]
-    fn guided_split_rejects_bad_cuts() {
+    fn for_each_split_mut_rejects_bad_cuts() {
         let mut data = vec![0u8; 5];
         with_threads(2, || {
-            for_each_split_mut_guided(&mut data, &[3, 2], |_, _| {});
+            for_each_split_mut(&mut data, &[3, 2], |_, _| {});
         });
     }
 

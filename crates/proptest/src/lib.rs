@@ -121,7 +121,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`vec()`]: an exact length or a range.
     pub trait IntoSizeRange {
         /// Inclusive (min, max) length bounds.
         fn bounds(self) -> (usize, usize);
@@ -150,7 +150,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -8,15 +8,12 @@
 //! the SPICE model" at different points of a process's life.
 //!
 //! Both are expressed through [`ProcessShift`] so they compose with the
-//! existing [`Foundry`] machinery, and both expose their per-factor
-//! sampling law as [`Dist`] combinators — the same algebra the Monte Carlo
-//! process model draws from.
+//! existing [`Foundry`](crate::Foundry) machinery: the Monte Carlo
+//! process model draws every die from the shifted, sigma-scaled factor
+//! law they describe.
 
-use sidefp_stats::Dist;
-
-use crate::foundry::{Foundry, ProcessShift};
+use crate::foundry::ProcessShift;
 use crate::params::ProcessFactor;
-use crate::SiliconError;
 
 /// A named process corner, expressed as a latent-factor skew in sigma.
 ///
@@ -81,21 +78,6 @@ pub fn compose_shifts(a: ProcessShift, b: ProcessShift) -> ProcessShift {
     out
 }
 
-/// Per-factor sampling law of a foundry at `shift` with `sigma_scale`,
-/// as [`Dist`] combinators: factor `k ~ N(0,1)·sigma_scale + offset_k`.
-///
-/// This is exactly the law [`Foundry::fabricate_die`] realizes through the
-/// hierarchical variation model; exposing it as distributions lets
-/// experiments reason about (and re-mix) the process statistics without a
-/// fab in the loop.
-pub fn factor_distributions(shift: ProcessShift, sigma_scale: f64) -> [Dist; 5] {
-    ProcessFactor::ALL.map(|f| {
-        Dist::normal(0.0, 1.0)
-            .scale(sigma_scale)
-            .shift(shift.offset(f))
-    })
-}
-
 /// A technology-lifecycle preset: the corner-independent drift between the
 /// trusted simulation model and the fab, plus how tight each side's
 /// statistics are.
@@ -138,49 +120,12 @@ impl TechnologyPreset {
             fab_sigma_scale: 1.0,
         }
     }
-
-    /// An early process ramp: large drift and a fab still wider than the
-    /// model believes.
-    pub fn early_ramp() -> Self {
-        TechnologyPreset {
-            name: "early-ramp",
-            drift: ProcessShift::on_factor(ProcessFactor::ImplantN, 5.0)
-                .and(ProcessFactor::ImplantP, 4.5)
-                .and(ProcessFactor::Oxide, -3.5)
-                .and(ProcessFactor::Litho, 3.2)
-                .and(ProcessFactor::Beol, 2.0),
-            model_sigma_scale: 0.8,
-            fab_sigma_scale: 1.2,
-        }
-    }
-
-    /// The trusted simulation model's foundry: zero shift (the corner is
-    /// unknown at simulation time), model-side sigma.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiliconError::InvalidParameter`] for a non-positive sigma
-    /// scale.
-    pub fn model_foundry(&self) -> Result<Foundry, SiliconError> {
-        Foundry::nominal().with_sigma_scale(self.model_sigma_scale)
-    }
-
-    /// The real fab running a given corner lot: preset drift + corner skew,
-    /// fab-side sigma.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiliconError::InvalidParameter`] for a non-positive sigma
-    /// scale.
-    pub fn fab_foundry(&self, corner: ProcessCorner) -> Result<Foundry, SiliconError> {
-        Foundry::with_shift(compose_shifts(self.drift, corner.shift()))
-            .with_sigma_scale(self.fab_sigma_scale)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::foundry::Foundry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -224,27 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn factor_distributions_match_foundry_law() {
-        let shift = ProcessShift::on_factor(ProcessFactor::ImplantN, 2.0);
-        let dists = factor_distributions(shift, 0.8);
-        let implant_n = &dists[ProcessFactor::ImplantN.index()];
-        assert!((implant_n.mean() - 2.0).abs() < 1e-12);
-        assert!((implant_n.variance() - 0.64).abs() < 1e-12);
-        // Unshifted factors are centered.
-        assert_eq!(dists[ProcessFactor::Beol.index()].mean(), 0.0);
-    }
-
-    #[test]
     fn presets_build_valid_foundries() {
-        for preset in [
-            TechnologyPreset::paper(),
-            TechnologyPreset::mature(),
-            TechnologyPreset::early_ramp(),
-        ] {
-            let model = preset.model_foundry().unwrap();
+        // The model side runs unshifted; the fab runs preset drift plus
+        // corner skew — how a scenario cell lowers onto the pipeline config.
+        for preset in [TechnologyPreset::paper(), TechnologyPreset::mature()] {
+            let model = Foundry::nominal()
+                .with_sigma_scale(preset.model_sigma_scale)
+                .unwrap();
             assert_eq!(model.shift(), ProcessShift::none());
             for corner in ProcessCorner::ALL {
-                let fab = preset.fab_foundry(corner).unwrap();
+                let fab = Foundry::with_shift(compose_shifts(preset.drift, corner.shift()))
+                    .with_sigma_scale(preset.fab_sigma_scale)
+                    .unwrap();
                 assert_eq!(
                     fab.shift(),
                     compose_shifts(preset.drift, corner.shift()),
@@ -263,7 +199,9 @@ mod tests {
         use crate::params::ProcessParameter;
         let preset = TechnologyPreset::mature();
         let mean_vth = |corner: ProcessCorner, seed: u64| {
-            let foundry = preset.fab_foundry(corner).unwrap();
+            let foundry = Foundry::with_shift(compose_shifts(preset.drift, corner.shift()))
+                .with_sigma_scale(preset.fab_sigma_scale)
+                .unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 200;
             (0..n)

@@ -95,7 +95,7 @@ impl Environment {
     }
 
     /// Temperature in Kelvin.
-    pub fn temperature_k(&self) -> f64 {
+    pub(crate) fn temperature_k(&self) -> f64 {
         self.temperature_c + 273.15
     }
 

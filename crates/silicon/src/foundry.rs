@@ -166,11 +166,6 @@ impl Foundry {
         &self.variation
     }
 
-    /// The variation scale (1.0 = true process spread).
-    pub fn sigma_scale(&self) -> f64 {
-        self.sigma_scale
-    }
-
     /// Fabricates a single die at a random position of a fresh lot/wafer.
     ///
     /// Convenience for Monte Carlo simulation, where each sample is an

@@ -165,7 +165,7 @@ impl ProcessParameter {
 
     /// Loadings of this parameter onto the latent factors (rows sum to 1 in
     /// squared magnitude so `systematic_sigma` is the total systematic σ).
-    pub fn factor_loadings(self) -> &'static [(ProcessFactor, f64)] {
+    pub(crate) fn factor_loadings(self) -> &'static [(ProcessFactor, f64)] {
         use ProcessFactor::*;
         match self {
             ProcessParameter::VthN => &[(ImplantN, 0.80), (Oxide, 0.60)],

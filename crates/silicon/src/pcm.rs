@@ -56,7 +56,7 @@ impl PcmKind {
 
     /// Ideal value under explicit measurement conditions (e-test floors are
     /// temperature-controlled, but not always to the simulation's corner).
-    pub fn ideal_value_at(&self, process: &ProcessPoint, env: &Environment) -> f64 {
+    pub(crate) fn ideal_value_at(&self, process: &ProcessPoint, env: &Environment) -> f64 {
         match self {
             PcmKind::PathDelay => device_models::gate_delay_at(process, env) * Self::PATH_STAGES,
             PcmKind::RingOscillator => {
@@ -244,16 +244,6 @@ impl PcmSuite {
     pub fn measure_ideal(&self, process: &ProcessPoint) -> Vec<f64> {
         self.kinds.iter().map(|k| k.ideal_value(process)).collect()
     }
-
-    /// Measures through adversarially modified monitor structures.
-    pub fn measure_tampered<R: Rng>(
-        &self,
-        process: &ProcessPoint,
-        tamper: &PcmTamper,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.measure_detailed(process, &Environment::nominal(), tamper, rng)
-    }
 }
 
 #[cfg(test)]
@@ -338,11 +328,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let clean = suite.measure_ideal(&ProcessPoint::nominal())[0];
         let tamper = PcmTamper::on_kind(PcmKind::PathDelay, 0.9);
-        let tampered = suite.measure_tampered(&ProcessPoint::nominal(), &tamper, &mut rng)[0];
+        let tampered = suite.measure_detailed(
+            &ProcessPoint::nominal(),
+            &Environment::nominal(),
+            &tamper,
+            &mut rng,
+        )[0];
         assert!((tampered / clean - 0.9).abs() < 1e-12);
         // Untouched kinds unaffected.
         let suite2 = PcmSuite::new(vec![PcmKind::LeakageCurrent], 0.0).unwrap();
-        let t2 = suite2.measure_tampered(&ProcessPoint::nominal(), &tamper, &mut rng)[0];
+        let t2 = suite2.measure_detailed(
+            &ProcessPoint::nominal(),
+            &Environment::nominal(),
+            &tamper,
+            &mut rng,
+        )[0];
         assert_eq!(t2, suite2.measure_ideal(&ProcessPoint::nominal())[0]);
     }
 

@@ -11,7 +11,6 @@
 use rand::Rng;
 use sidefp_stats::MultivariateNormal;
 
-use crate::params::ProcessFactor;
 use crate::wafer::DiePosition;
 use crate::SiliconError;
 
@@ -163,11 +162,6 @@ impl WaferState {
     }
 }
 
-/// Convenience: index helper shared by tests.
-pub fn factor_index(f: ProcessFactor) -> usize {
-    f.index()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +284,5 @@ mod tests {
         let wafer = model.sample_wafer(&mut rng);
         assert_eq!(lot.factors().len(), 5);
         assert_eq!(wafer.factors().len(), 5);
-        assert_eq!(factor_index(ProcessFactor::Beol), 4);
     }
 }

@@ -163,8 +163,6 @@ enum MapKind {
         landmarks: Matrix,
         /// `U Λ^{-1/2}` of the landmark Gram, `r × r`.
         factor: Matrix,
-        /// Ascending indices of the landmarks in the fitted data.
-        landmark_indices: Vec<usize>,
     },
     Rff {
         /// Frequency rows `ω_j`, one per feature: `D × d`.
@@ -215,19 +213,14 @@ impl KernelFeatureMap {
             return Err(StatsError::InsufficientData { needed: 1, got: 0 });
         }
         check_finite_matrix("data", data)?;
-        let landmark_indices = select_landmarks(n, rank, seed);
-        let landmarks = data.select_rows(&landmark_indices);
+        let landmarks = data.select_rows(&select_landmarks(n, rank, seed));
         let w = GramMatrix::symmetric(kernel, &landmarks);
         let factor = lowrank::inverse_sqrt_factor(w.matrix(), lowrank::REL_EIGEN_CLIP)?;
         let cross = GramMatrix::cross(kernel, data, &landmarks)?;
         let features = cross.matmul(&factor)?;
         Ok(KernelFeatureMap {
             kernel,
-            kind: MapKind::Nystrom {
-                landmarks,
-                factor,
-                landmark_indices,
-            },
+            kind: MapKind::Nystrom { landmarks, factor },
             features,
         })
     }
@@ -314,16 +307,6 @@ impl KernelFeatureMap {
         self.features.nrows() == 0
     }
 
-    /// Ascending landmark indices (Nyström maps only).
-    pub fn landmark_indices(&self) -> Option<&[usize]> {
-        match &self.kind {
-            MapKind::Nystrom {
-                landmark_indices, ..
-            } => Some(landmark_indices),
-            MapKind::Rff { .. } => None,
-        }
-    }
-
     /// Embeds new rows into the feature space: returns `Φ(x)` with one
     /// feature row per input row.
     ///
@@ -353,13 +336,6 @@ impl KernelFeatureMap {
                 rff_embed(omega, offsets, *scale, x)
             }
         }
-    }
-
-    /// Squared feature norms `‖φ_i‖²` of the fitted rows — the diagonal of
-    /// the approximate Gram matrix.
-    pub fn feature_sq_norms(&self) -> Vec<f64> {
-        let phi = &self.features;
-        sidefp_parallel::map_indexed(phi.nrows(), |i| vecops::sq_norm(phi.row(i)))
     }
 
     /// The full approximate Gram matrix `Φ Φᵀ` (`n × n`) — intended for

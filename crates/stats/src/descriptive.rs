@@ -43,16 +43,6 @@ pub fn std_dev(data: &[f64]) -> Result<f64, StatsError> {
     Ok(variance(data)?.sqrt())
 }
 
-/// Population variance (denominator `n`).
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] for an empty slice.
-pub fn population_variance(data: &[f64]) -> Result<f64, StatsError> {
-    let m = mean(data)?;
-    Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64)
-}
-
 /// Minimum value.
 ///
 /// # Errors
@@ -245,7 +235,6 @@ mod tests {
         let d = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&d).unwrap(), 5.0);
         assert!((variance(&d).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((population_variance(&d).unwrap() - 4.0).abs() < 1e-12);
         assert!((std_dev(&d).unwrap() - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 

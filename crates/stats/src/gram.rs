@@ -115,7 +115,12 @@ impl GramMatrix {
             });
         }
         let mut values = d2;
-        map_rows(&mut values, |_, _, v| vecops::exp(-gamma * v));
+        let ncols = values.ncols();
+        sidefp_parallel::for_each_row_mut(values.as_mut_slice(), ncols, |_, row| {
+            for v in row {
+                *v = vecops::exp(-gamma * *v);
+            }
+        });
         Ok(GramMatrix { kernel, values })
     }
 
@@ -248,26 +253,6 @@ pub fn pairwise_squared_distances(data: &Matrix) -> Matrix {
 /// [`gemm::self_dot_fold`]).
 fn row_norms(data: &Matrix) -> Vec<f64> {
     sidefp_parallel::map_indexed(data.nrows(), |i| gemm::self_dot_fold(data.row(i)))
-}
-
-/// Applies `f(i, j, value)` to every entry of a rectangular matrix in
-/// parallel row chunks, writing the result back in place.
-fn map_rows<F>(values: &mut Matrix, f: F)
-where
-    F: Fn(usize, usize, f64) -> f64 + Sync,
-{
-    let (nrows, ncols) = values.shape();
-    let row_blocks = sidefp_parallel::split_even(nrows, sidefp_parallel::current_threads());
-    let cuts: Vec<usize> = row_blocks.iter().skip(1).map(|r| r.start * ncols).collect();
-    sidefp_parallel::for_each_split_mut(values.as_mut_slice(), &cuts, |block, slice| {
-        let rows = row_blocks[block].clone();
-        for (local, i) in rows.clone().enumerate() {
-            let out = &mut slice[local * ncols..(local + 1) * ncols];
-            for (j, v) in out.iter_mut().enumerate() {
-                *v = f(i, j, *v);
-            }
-        }
-    });
 }
 
 /// Copies the strict upper triangle onto the lower one; cheap copies, no

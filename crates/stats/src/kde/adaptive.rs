@@ -85,9 +85,9 @@ impl AdaptiveKde {
         Self::fit_observed(data, config, &sidefp_obs::RunContext::new())
     }
 
-    /// [`AdaptiveKde::fit`] reporting any floored pilot densities into
-    /// `obs` (a counter bump plus a `rescue` trace event) instead of the
-    /// ambient diagnostics context.
+    /// [`AdaptiveKde::fit`] reporting any floored pilot densities into the
+    /// caller's [`RunContext`](sidefp_obs::RunContext) `obs` (a counter
+    /// bump plus a `rescue` trace event) instead of a throwaway one.
     ///
     /// # Errors
     ///
@@ -318,7 +318,7 @@ impl AdaptiveKde {
     /// workspace pool has warmed up (one call), the steady state performs
     /// zero heap allocations. Values are bit-identical to
     /// [`AdaptiveKde::density_rows`] under the strict determinism policy
-    /// (the default — see [`sidefp_parallel::set_deterministic`]).
+    /// (the default — see [`sidefp_parallel::with_determinism`]).
     ///
     /// # Errors
     ///

@@ -41,7 +41,7 @@ impl Epanechnikov {
 
     /// Volume of the unit `d`-ball, via the even/odd recursion
     /// `V_d = V_{d−2} · 2π / d` with `V_0 = 1`, `V_1 = 2`.
-    pub fn unit_ball_volume(dim: usize) -> f64 {
+    pub(crate) fn unit_ball_volume(dim: usize) -> f64 {
         match dim {
             0 => 1.0,
             1 => 2.0,

@@ -436,7 +436,8 @@ impl KernelMeanMatching {
     }
 
     /// [`KernelMeanMatching::mean_shift_population`] reporting each
-    /// iteration's QP rescues into `obs` instead of the ambient context.
+    /// iteration's QP rescues into the caller's [`RunContext`] `obs`
+    /// instead of a throwaway one.
     ///
     /// # Errors
     ///

@@ -51,7 +51,6 @@
 mod approx;
 pub mod bootstrap;
 pub mod descriptive;
-pub mod dist;
 mod error;
 mod gram;
 pub mod kde;
@@ -73,7 +72,6 @@ mod scaler;
 pub mod state;
 
 pub use approx::{KernelApprox, KernelFeatureMap, LowRankQ};
-pub use dist::{Dist, JointNormal};
 pub use error::StatsError;
 // Re-export the per-run observability handle the `*_observed` solver entry
 // points take, so downstream crates need no direct sidefp-obs dependency.

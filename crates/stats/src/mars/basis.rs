@@ -52,14 +52,6 @@ impl BasisFunction {
         BasisFunction::default()
     }
 
-    /// Builds a basis function from a set of hinges.
-    pub fn from_hinges(hinges: Vec<Hinge>) -> Self {
-        BasisFunction {
-            hinges,
-            linear: Vec::new(),
-        }
-    }
-
     /// A pure linear basis `x_feature`.
     pub fn linear(feature: usize) -> Self {
         BasisFunction {
@@ -152,18 +144,21 @@ mod tests {
 
     #[test]
     fn product_of_hinges() {
-        let b = BasisFunction::from_hinges(vec![
-            Hinge {
-                feature: 0,
-                knot: 0.0,
-                direction: HingeDirection::Positive,
-            },
-            Hinge {
-                feature: 1,
-                knot: 1.0,
-                direction: HingeDirection::Negative,
-            },
-        ]);
+        let b = BasisFunction::from_parts(
+            vec![
+                Hinge {
+                    feature: 0,
+                    knot: 0.0,
+                    direction: HingeDirection::Positive,
+                },
+                Hinge {
+                    feature: 1,
+                    knot: 1.0,
+                    direction: HingeDirection::Negative,
+                },
+            ],
+            Vec::new(),
+        );
         // (x0 - 0)+ * (1 - x1)+ at (2, 0) = 2 * 1 = 2.
         assert_eq!(b.eval(&[2.0, 0.0]), 2.0);
         // Any zero factor kills the product.

@@ -71,18 +71,6 @@ impl ConfusionCounts {
         }
     }
 
-    /// Tallies a batch of (actual, predicted) pairs.
-    pub fn from_pairs<I>(pairs: I) -> Self
-    where
-        I: IntoIterator<Item = (DetectionLabel, DetectionLabel)>,
-    {
-        let mut counts = ConfusionCounts::new();
-        for (actual, predicted) in pairs {
-            counts.record(actual, predicted);
-        }
-        counts
-    }
-
     /// Missed Trojans (the paper's FP, Eq. 1).
     pub fn false_positives(&self) -> usize {
         self.missed_trojans
@@ -148,9 +136,17 @@ mod tests {
     use super::*;
     use DetectionLabel::{TrojanFree as Free, TrojanInfested as Infested};
 
+    fn tally<const N: usize>(pairs: [(DetectionLabel, DetectionLabel); N]) -> ConfusionCounts {
+        let mut counts = ConfusionCounts::new();
+        for (actual, predicted) in pairs {
+            counts.record(actual, predicted);
+        }
+        counts
+    }
+
     #[test]
     fn paper_convention_fp_counts_missed_trojans() {
-        let counts = ConfusionCounts::from_pairs([
+        let counts = tally([
             (Infested, Free),     // missed Trojan → FP
             (Infested, Infested), // caught
             (Free, Infested),     // false alarm → FN
@@ -165,7 +161,7 @@ mod tests {
 
     #[test]
     fn rates() {
-        let counts = ConfusionCounts::from_pairs([
+        let counts = tally([
             (Infested, Free),
             (Infested, Free),
             (Infested, Infested),
@@ -186,7 +182,7 @@ mod tests {
 
     #[test]
     fn display_matches_table_style() {
-        let counts = ConfusionCounts::from_pairs([(Infested, Infested), (Free, Infested)]);
+        let counts = tally([(Infested, Infested), (Free, Infested)]);
         assert_eq!(counts.to_string(), "FP 0/1  FN 1/1");
     }
 

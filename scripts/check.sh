@@ -11,6 +11,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # profile; compile them so bench-only breakage can't land silently.
 cargo bench --workspace --no-run -q
 
+# The benchmark package is a workspace of its own, so nothing above
+# compiles it. Build and test it here: narrowing a `pub` item it imports
+# must fail this gate, not the next benchmark run.
+cargo build --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+cargo test --release --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
+# Rustdoc stays warning-free: no broken, private or ambiguous intra-doc
+# links in the published API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Degradation-hardened solver modules must stay unwrap-free outside their
 # test blocks: a reintroduced unwrap() reopens the panic paths the fault
 # harness exists to close.

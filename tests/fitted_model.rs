@@ -6,11 +6,14 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use sidefp_chip::trojan::TrojanSuite;
+use sidefp_core::scenario::{channel_sets, Scenario};
 use sidefp_core::{
     ArtifactError, BatchScorer, CoreError, ExperimentConfig, FittedModel, RunContext,
     ARTIFACT_VERSION,
 };
 use sidefp_parallel::{map_indexed, with_threads};
+use sidefp_silicon::{ProcessCorner, TechnologyPreset};
 
 fn tiny_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -134,6 +137,32 @@ fn load_surfaces_io_errors_with_the_path() {
         Err(ArtifactError::Io { path, .. }) => assert!(path.contains("nonexistent")),
         other => panic!("expected Io, got {other:?}"),
     }
+}
+
+#[test]
+fn wide_stack_model_round_trips_and_scores() {
+    // The widest scenario stack (power + IDDT + delay + spectral) measures
+    // 11 fingerprint columns, more than the 6 `fingerprint_blocks` of the
+    // power-only default; the artifact must record the fitted width.
+    let base = tiny_config();
+    let widest = channel_sets(&base.meter).pop().expect("a channel stack");
+    let config = Scenario::new(
+        widest,
+        TrojanSuite::rf_leaks(base.amplitude_delta, base.frequency_delta),
+        ProcessCorner::Typical,
+        TechnologyPreset::paper(),
+    )
+    .config(&base, base.seed);
+    let model = FittedModel::fit(&config).expect("wide fit");
+    assert_eq!(model.fingerprint_dim(), 11);
+    let reloaded = FittedModel::from_bytes(&model.to_bytes()).expect("decode");
+    assert_eq!(reloaded.fingerprint_dim(), 11);
+    let (fps, pcms) = reloaded.synthesize_batch(5, 32);
+    let batch = BatchScorer::new(&reloaded)
+        .score_batch(&fps, &pcms, &RunContext::new())
+        .expect("score");
+    assert_eq!(batch.verdicts.len(), batch.decisions.nrows());
+    assert!(!batch.verdicts.is_empty());
 }
 
 #[test]

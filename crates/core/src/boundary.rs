@@ -3,7 +3,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sidefp_linalg::Matrix;
-use sidefp_stats::{DetectionLabel, Kernel, OneClassSvm, OneClassSvmConfig, StandardScaler};
+use sidefp_stats::{
+    DetectionLabel, Kernel, OneClassSvm, OneClassSvmConfig, StandardScaler, StatsError,
+};
 
 use crate::config::BoundaryConfig;
 use crate::dataset::DuttPopulation;
@@ -125,7 +127,9 @@ impl TrustedBoundary {
     }
 
     /// Shared fit preparation: full-population scaler, seeded subsample to
-    /// the training cap, and kernel selection.
+    /// the training cap, and kernel selection. Only the subsample is
+    /// standardized — the transform is elementwise, so this equals
+    /// subsampling the standardized population without materializing it.
     fn prepare(
         trusted: &Matrix,
         config: &BoundaryConfig,
@@ -133,16 +137,15 @@ impl TrustedBoundary {
         max_iter: usize,
     ) -> Result<(StandardScaler, Matrix, OneClassSvmConfig), CoreError> {
         let scaler = StandardScaler::fit(trusted)?;
-        let z = scaler.transform(trusted)?;
 
-        let train = if z.nrows() > config.train_cap {
+        let train = if trusted.nrows() > config.train_cap {
             let mut rng = StdRng::seed_from_u64(seed);
             let indices: Vec<usize> = (0..config.train_cap)
-                .map(|_| rng.random_range(0..z.nrows()))
+                .map(|_| rng.random_range(0..trusted.nrows()))
                 .collect();
-            z.select_rows(&indices)
+            scaler.transform(&trusted.select_rows(&indices))?
         } else {
-            z
+            scaler.transform(trusted)?
         };
 
         let kernel = match config.gamma {
@@ -243,17 +246,70 @@ impl TrustedBoundary {
         Ok(self.svm.decision_function(scratch)?)
     }
 
+    /// Decision values for a population: the single path every
+    /// population is scored through. `rows` holds `out.len()`
+    /// fingerprints row-major; each is standardized into `z_scratch`
+    /// (resized to fit, so a reused buffer stops allocating once it has
+    /// grown) with the arithmetic of
+    /// [`StandardScaler::transform_sample_into`], and the SVM scores the
+    /// standardized block at once through
+    /// [`OneClassSvm::decision_rows_into`] — for an exact RBF expansion the
+    /// fused packed-GEMM kernel sum, split over the workers. Values are
+    /// bit-identical to [`TrustedBoundary::decision`] row by row, at any
+    /// thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns a dimension-mismatch error when `rows` does not hold
+    /// exactly `out.len()` rows of the boundary's dimension, and rejects
+    /// non-finite fingerprints.
+    pub fn decision_rows_into(
+        &self,
+        rows: &[f64],
+        z_scratch: &mut Vec<f64>,
+        out: &mut [f64],
+    ) -> Result<(), CoreError> {
+        let (n, d) = (out.len(), self.scaler.dim());
+        if rows.len() != n * d {
+            return Err(StatsError::DimensionMismatch {
+                expected: n * d,
+                got: rows.len(),
+            }
+            .into());
+        }
+        z_scratch.clear();
+        z_scratch.resize(n * d, 0.0);
+        for (row, z) in rows.chunks_exact(d).zip(z_scratch.chunks_exact_mut(d)) {
+            self.scaler.transform_sample_into(row, z)?;
+        }
+        let z = Matrix::from_vec(n, d, std::mem::take(z_scratch))?;
+        let scored = self.svm.decision_rows_into(&z, out);
+        *z_scratch = z.into_vec();
+        Ok(scored?)
+    }
+
     /// Classifies a fingerprint.
     ///
     /// # Errors
     ///
     /// Same as [`TrustedBoundary::decision`].
     pub fn classify(&self, fingerprint: &[f64]) -> Result<DetectionLabel, CoreError> {
-        Ok(if self.decision(fingerprint)? >= 0.0 {
-            DetectionLabel::TrojanFree
-        } else {
-            DetectionLabel::TrojanInfested
-        })
+        Ok(label(self.decision(fingerprint)?))
+    }
+
+    /// Labels every fingerprint row of `fingerprints` through
+    /// [`TrustedBoundary::decision_rows_into`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TrustedBoundary::decision_rows_into`].
+    pub(crate) fn classify_rows(
+        &self,
+        fingerprints: &Matrix,
+    ) -> Result<Vec<DetectionLabel>, CoreError> {
+        let mut out = vec![0.0; fingerprints.nrows()];
+        self.decision_rows_into(fingerprints.as_slice(), &mut Vec::new(), &mut out)?;
+        Ok(out.into_iter().map(label).collect())
     }
 
     /// Evaluates the boundary on a labeled DUTT population, producing the
@@ -264,11 +320,21 @@ impl TrustedBoundary {
     /// Propagates classification errors.
     pub fn evaluate(&self, population: &DuttPopulation) -> Result<ConfusionCounts, CoreError> {
         let mut counts = ConfusionCounts::new();
-        for (i, row) in population.fingerprints().rows_iter().enumerate() {
-            let predicted = self.classify(row)?;
-            counts.record(population.labels()[i], predicted);
+        let predicted = self.classify_rows(population.fingerprints())?;
+        for (truth, predicted) in population.labels().iter().zip(predicted) {
+            counts.record(*truth, predicted);
         }
         Ok(counts)
+    }
+}
+
+/// The verdict a decision value stands for: inside or on the boundary is
+/// trusted.
+fn label(decision: f64) -> DetectionLabel {
+    if decision >= 0.0 {
+        DetectionLabel::TrojanFree
+    } else {
+        DetectionLabel::TrojanInfested
     }
 }
 
@@ -277,7 +343,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sidefp_stats::MultivariateNormal;
+    use sidefp_stats::{KernelApprox, MultivariateNormal};
 
     fn blob(center: f64, n: usize, seed: u64) -> Matrix {
         let mvn = MultivariateNormal::independent(vec![center, center], &[1.0, 1.0]).unwrap();
@@ -405,5 +471,89 @@ mod tests {
         let b =
             TrustedBoundary::fit("B1", &blob(0.0, 50, 5), &BoundaryConfig::default(), 5).unwrap();
         assert!(b.classify(&[1.0]).is_err());
+        let mut z = Vec::new();
+        let mut out = [0.0; 2];
+        assert!(b.decision_rows_into(&[1.0; 3], &mut z, &mut out).is_err());
+        assert!(b
+            .decision_rows_into(&[0.0, f64::NAN, 0.0, 0.0], &mut z, &mut out)
+            .is_err());
+        // A failed call leaves the scratch usable.
+        b.decision_rows_into(&[0.0; 4], &mut z, &mut out).unwrap();
+        assert_eq!(out[0].to_bits(), b.decision(&[0.0, 0.0]).unwrap().to_bits());
+    }
+
+    /// Scores `population` through `decision_rows_into` in self-check
+    /// blocks with one reused pair of buffers, at 1 and 2 workers, and
+    /// checks every value against the pointwise path bit for bit.
+    fn assert_blocked_scoring_matches_pointwise(b: &TrustedBoundary, population: &Matrix) {
+        let block = crate::stages::recalibrate::SELF_CHECK_BLOCK;
+        let (n, d) = (population.nrows(), population.ncols());
+        assert!(n > 2 * block && n % block != 0, "need 2 blocks and a tail");
+        let pointwise: Vec<u64> = population
+            .rows_iter()
+            .map(|row| b.decision(row).unwrap().to_bits())
+            .collect();
+        assert!(pointwise.iter().any(|v| f64::from_bits(*v) < 0.0));
+        assert!(pointwise.iter().any(|v| f64::from_bits(*v) >= 0.0));
+        for threads in [1, 2] {
+            let blocked = sidefp_parallel::with_threads(threads, || {
+                let (mut z, mut out) = (Vec::new(), vec![0.0; block]);
+                let mut all = Vec::with_capacity(n);
+                for rows in population.as_slice().chunks(block * d) {
+                    let out = &mut out[..rows.len() / d];
+                    b.decision_rows_into(rows, &mut z, out).unwrap();
+                    all.extend(out.iter().map(|v| v.to_bits()));
+                }
+                all
+            });
+            assert_eq!(blocked.len(), n);
+            for (i, (p, q)) in pointwise.iter().zip(&blocked).enumerate() {
+                assert_eq!(p, q, "row {i} at {threads} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_exact_boundary_matches_pointwise_bitwise() {
+        let cfg = BoundaryConfig {
+            train_cap: 400,
+            ..Default::default()
+        };
+        let b = TrustedBoundary::fit("B5", &blob(0.0, 10_000, 31), &cfg, 31).unwrap();
+        assert!(!b.svm().dual_alpha().is_empty(), "expected the exact path");
+        assert_blocked_scoring_matches_pointwise(&b, &blob(0.3, 10_000, 32));
+    }
+
+    #[test]
+    fn batched_rff_boundary_matches_pointwise_bitwise() {
+        let cfg = BoundaryConfig {
+            train_cap: 400,
+            approx: KernelApprox::Rff { features: 128 },
+            ..Default::default()
+        };
+        let b = TrustedBoundary::fit("B5", &blob(0.0, 10_000, 33), &cfg, 33).unwrap();
+        assert!(b.svm().dual_alpha().is_empty(), "expected the RFF path");
+        assert_blocked_scoring_matches_pointwise(&b, &blob(0.3, 10_000, 34));
+    }
+
+    /// An over-cap fit (the B2/B5 shape: subsampled to `train_cap`) pinned
+    /// to the bits it produced when the whole population was still
+    /// standardized before subsampling.
+    #[test]
+    fn over_cap_fit_is_pinned() {
+        let cfg = BoundaryConfig {
+            train_cap: 300,
+            ..Default::default()
+        };
+        let b = TrustedBoundary::fit("B2", &blob(0.5, 5000, 21), &cfg, 21).unwrap();
+        assert_eq!(b.svm().rho().to_bits(), 0x3fd2_3005_b30b_52b1);
+        assert_eq!(b.svm().support_vector_count(), 19);
+        for (probe, bits) in [
+            ([0.5, 0.5], 0x3f81_36c1_d6ce_dca0_u64),
+            ([1.7, -0.4], 0x3f88_8169_d16b_d460),
+            ([-2.5, 3.0], 0xbfc1_1232_3de7_7cb9),
+        ] {
+            assert_eq!(b.decision(&probe).unwrap().to_bits(), bits, "{probe:?}");
+        }
     }
 }

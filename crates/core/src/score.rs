@@ -156,25 +156,20 @@ impl BatchScorer {
             });
         }
         let mut decisions = Matrix::zeros(n, self.boundaries.len());
+        // Score the whole batch against each boundary with pooled
+        // standardization and decision buffers, returned to the pool
+        // afterwards — steady-state batches of one size allocate nothing
+        // here.
+        let mut z = self.ws.take(n * d);
+        let mut out = self.ws.take(n);
         for (bi, b) in self.boundaries.iter().enumerate() {
-            // Standardize the whole batch into a pooled buffer, score it
-            // with the allocation-free row path, and return both buffers
-            // to the pool — steady-state batches of one size allocate
-            // nothing here.
-            let mut z = self.ws.take(n * d);
-            for (i, row) in sanitized.fingerprints.rows_iter().enumerate() {
-                b.scaler()
-                    .transform_sample_into(row, &mut z[i * d..(i + 1) * d])?;
-            }
-            let z = Matrix::from_vec(n, d, z)?;
-            let mut out = self.ws.take(n);
-            b.svm().decision_rows_into(&z, &mut out)?;
+            b.decision_rows_into(sanitized.fingerprints.as_slice(), &mut z, &mut out)?;
             for (i, v) in out.iter().enumerate() {
                 decisions[(i, bi)] = *v;
             }
-            self.ws.give(z.into_vec());
-            self.ws.give(out);
         }
+        self.ws.give(z);
+        self.ws.give(out);
         drop(boundary_span);
 
         let verdict_col = self.boundaries.len() - 1;

@@ -579,13 +579,20 @@ impl LotStream {
         fitted
             .kde
             .refresh_bandwidth((fitted.s4_bandwidth * ratio).max(f64::MIN_POSITIVE))?;
-        let s5_base = fitted
+        let mut s5 = fitted
             .kde
             .sample_matrix_streamed(self.sample_rng.next_u64(), config.kde_samples);
-        let s4_means = s4.column_means();
-        let s5 = Matrix::from_fn(s5_base.nrows(), s5_base.ncols(), |i, j| {
-            s5_base[(i, j)] + (s4_means[j] - fitted.s4_means[j])
-        });
+        let s5_shift: Vec<f64> = s4
+            .column_means()
+            .iter()
+            .zip(&fitted.s4_means)
+            .map(|(n, c)| n - c)
+            .collect();
+        for i in 0..s5.nrows() {
+            for (v, shift) in s5.row_mut(i).iter_mut().zip(&s5_shift) {
+                *v += shift;
+            }
+        }
 
         // Warm boundary refits under the tight budget, escalating to the
         // full budget only where the tight solve was exhausted.
@@ -657,18 +664,33 @@ enum IncrementalResult {
     },
 }
 
-/// Fraction of `data` rows the boundary rejects.
+/// Rows the self-check scores per batched call: 64 of the expansion's
+/// 64-row chunks, enough to keep every worker busy, while the scratch
+/// stays O(block) however many KDE samples B5 trains on.
+pub(crate) const SELF_CHECK_BLOCK: usize = 4096;
+
+/// Fraction of `data` rows the boundary rejects, scored in
+/// [`SELF_CHECK_BLOCK`]-row blocks through
+/// [`TrustedBoundary::decision_rows_into`] with one reused pair of
+/// buffers.
 fn rejection_rate(boundary: &TrustedBoundary, data: &Matrix) -> Result<f64, CoreError> {
-    if data.nrows() == 0 {
+    let (n, d) = (data.nrows(), data.ncols());
+    if n == 0 {
         return Ok(0.0);
     }
+    let (mut z, mut decisions) = (Vec::new(), Vec::new());
     let mut rejected = 0usize;
-    for row in data.rows_iter() {
-        if boundary.decision(row)? < 0.0 {
-            rejected += 1;
-        }
+    for start in (0..n).step_by(SELF_CHECK_BLOCK) {
+        let len = SELF_CHECK_BLOCK.min(n - start);
+        decisions.resize(len, 0.0);
+        boundary.decision_rows_into(
+            &data.as_slice()[start * d..(start + len) * d],
+            &mut z,
+            &mut decisions,
+        )?;
+        rejected += decisions.iter().filter(|v| **v < 0.0).count();
     }
-    Ok(rejected as f64 / data.nrows() as f64)
+    Ok(rejected as f64 / n as f64)
 }
 
 /// Per-column (population) standard deviations.
@@ -798,6 +820,34 @@ mod tests {
     fn boundaries_before_calibration_panic() {
         let stream = LotStream::new(tiny_config(), DriftPlan::none()).unwrap();
         let _ = stream.boundaries();
+    }
+
+    #[test]
+    fn blocked_self_check_is_worker_invariant() {
+        // More KDE samples than two self-check blocks plus a ragged tail,
+        // and a refit limit no alarm reaches, so every alarmed lot takes
+        // the incremental tier and its blocked self-check.
+        let mut config = tiny_config();
+        config.kde_samples = 2 * SELF_CHECK_BLOCK + 808;
+        config.enhanced_boundary.train_cap = 300;
+        config.recalibration.refit_limit = 1e6;
+        let drift = DriftPlan::single(DriftClass::SlowRamp, 0.5, 1, 9);
+        let run = |threads: usize| {
+            sidefp_parallel::with_threads(threads, || {
+                let mut stream = LotStream::new(config.clone(), drift.clone()).unwrap();
+                let lots: Vec<_> = (0..4)
+                    .map(|_| {
+                        let o = stream.advance().unwrap();
+                        (o.action, o.severity.to_bits(), o.table1)
+                    })
+                    .collect();
+                (lots, stream.health())
+            })
+        };
+        let (lots, health) = run(1);
+        assert!(health.recalibrated >= 1, "{health:?}");
+        assert_eq!(health.refitted, 1, "{health:?}");
+        assert_eq!((lots, health), run(2));
     }
 
     #[test]

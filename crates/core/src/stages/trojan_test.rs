@@ -52,8 +52,8 @@ pub fn variant_breakdown(
     let mut order: Vec<&'static str> = Vec::new();
     let mut accepted: Vec<usize> = Vec::new();
     let mut totals: Vec<usize> = Vec::new();
-    for (i, row) in population.fingerprints().rows_iter().enumerate() {
-        let variant = population.variants()[i];
+    let predicted = boundary.classify_rows(population.fingerprints())?;
+    for (&variant, label) in population.variants().iter().zip(predicted) {
         let idx = match order.iter().position(|v| *v == variant) {
             Some(idx) => idx,
             None => {
@@ -64,7 +64,7 @@ pub fn variant_breakdown(
             }
         };
         totals[idx] += 1;
-        if boundary.classify(row)? == sidefp_stats::DetectionLabel::TrojanFree {
+        if label == sidefp_stats::DetectionLabel::TrojanFree {
             accepted[idx] += 1;
         }
     }

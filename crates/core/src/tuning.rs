@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sidefp_linalg::Matrix;
+use sidefp_stats::DetectionLabel;
 
 use crate::boundary::TrustedBoundary;
 use crate::config::BoundaryConfig;
@@ -132,12 +133,10 @@ pub fn tune_gamma(
             },
             seed,
         )?;
-        let accepted = holdout
-            .rows_iter()
-            .map(|row| candidate.decision(row))
-            .collect::<Result<Vec<f64>, CoreError>>()?
-            .iter()
-            .filter(|d| **d >= 0.0)
+        let accepted = candidate
+            .classify_rows(&holdout)?
+            .into_iter()
+            .filter(|l| *l == DetectionLabel::TrojanFree)
             .count();
         let acceptance = accepted as f64 / holdout_size as f64;
         grid_acceptance.push(acceptance);

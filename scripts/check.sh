@@ -81,6 +81,28 @@ if ! awk '
     exit 1
 fi
 
+# Populations are scored against a boundary through one path,
+# `TrustedBoundary::decision_rows_into`: a standardized block through the
+# fused packed-GEMM expansion on every worker. A per-row `.decision(` or
+# `.classify(` loop falls back to one worker and one allocation per row,
+# so outside boundary.rs (which defines them) the core crate may not call
+# them outside tests. The strict per-device `score_into` keeps
+# `decision_into`, which this does not match.
+mapfile -t core_sources < <(find crates/core/src -name '*.rs' ! -name boundary.rs | sort)
+if ! awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[[:space:]]*\/\// { next }
+    !in_tests && (/\.decision\(/ || /\.classify\(/) {
+        found = 1
+        print FILENAME ":" FNR ": " $0
+    }
+    END { exit found }
+' "${core_sources[@]}"; then
+    echo "error: per-row boundary scoring in sidefp-core (use TrustedBoundary::decision_rows_into)" >&2
+    exit 1
+fi
+
 # The kernel layer runs on the packed GEMM with fused epilogues
 # (sidefp_linalg::gemm): stats code must go through `Matrix::matmul_nt`
 # or the GramMatrix entry points. Materializing a transpose and feeding

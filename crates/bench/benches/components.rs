@@ -114,6 +114,9 @@ fn bench_ocsvm(c: &mut Criterion) {
     c.bench_function("ocsvm_fit_1500x6", |b| {
         b.iter(|| std::hint::black_box(OneClassSvm::fit(&large, &cfg).unwrap()))
     });
+    c.bench_function("rbf_median_heuristic_1500x6", |b| {
+        b.iter(|| std::hint::black_box(Kernel::rbf_median_heuristic(&large).unwrap()))
+    });
     let svm = OneClassSvm::fit(&small, &cfg).unwrap();
     c.bench_function("ocsvm_decision", |b| {
         b.iter(|| std::hint::black_box(svm.decision_function(&[0.2; 6]).unwrap()))

@@ -1,0 +1,463 @@
+//! Typed checks of the committed `BENCH_*.json` records, the evidence
+//! behind the repo's performance and scenario claims.
+//!
+//! ```text
+//! bench-gate            # check each BENCH_*.json in the working directory
+//! bench-gate --timing   # and time two fresh `perf --json` runs against BENCH_pipeline.json
+//! ```
+//!
+//! Records are read with [`sidefp_bench::record`], the module the bench
+//! binaries write them with. A missing, `null` or non-numeric gated field
+//! fails, naming the file and the field; an absent file is skipped.
+//!
+//! `--timing` runs the sibling `perf --json` twice in a temporary
+//! directory and keeps each stage's faster time (load noise is
+//! one-sided). Stages are compared by their *share* of the summed stage
+//! time, so uniform background load cancels out: a share more than 15%
+//! above the baseline fails, baseline stages under 1 ms are reported but
+//! not gated, and a stage timed on one side only fails. Wall-clock on a
+//! shared host is noisy, so `scripts/check.sh` runs `--timing` as advice.
+
+use std::path::Path;
+use std::process::{Command, ExitCode, Stdio};
+
+use sidefp_bench::record::{self, Value};
+
+const REGRESSION_PCT: f64 = 15.0;
+const MIN_STAGE_MS: f64 = 1.0;
+const KERNEL_SPEEDUP_FLOOR: f64 = 5.0;
+const DRIFT_RATIO_FLOOR: f64 = 3.0;
+const AMORTIZATION_FLOOR: f64 = 100.0;
+const SCENARIO_MIN: usize = 12;
+const SCALING_MIN_STAGES: usize = 5;
+
+const PAPER_CELL: &str = "power/always-on/tt/paper";
+const POWER_DORMANT_CELL: &str = "power/dormant/tt/paper";
+const FULL_STACK_DORMANT_CELL: &str = "power+iddt+delay+spectral/dormant/tt/paper";
+
+/// One check per record: a summary if the record holds, else why not.
+type Check = fn(&Value) -> Result<String, String>;
+
+const CHECKS: [(&str, Check); 6] = [
+    ("BENCH_kernels.json", kernels),
+    ("BENCH_drift.json", drift),
+    ("BENCH_throughput.json", throughput),
+    ("BENCH_scenarios.json", scenarios),
+    ("BENCH_scaling.json", scaling),
+    ("BENCH_pipeline.json", |r| {
+        Ok(format!("{} stages", stages(r)?.len()))
+    }),
+];
+
+fn ensure(holds: bool, why: String) -> Result<(), String> {
+    holds.then_some(()).ok_or(why)
+}
+
+fn field<'a>(r: &'a Value, key: &str) -> Result<&'a Value, String> {
+    r.get(key).ok_or_else(|| format!("missing `{key}`"))
+}
+
+fn num(r: &Value, key: &str) -> Result<f64, String> {
+    let v = field(r, key)?;
+    let shown = || format!("`{key}` is {}, not a number", record::write(v).trim());
+    v.as_f64().ok_or_else(shown)
+}
+
+fn list<'a>(r: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    match field(r, key)? {
+        Value::List(items) => Ok(items),
+        _ => Err(format!("`{key}` is not a list")),
+    }
+}
+
+fn object<'a>(r: &'a Value, key: &str) -> Result<&'a [(String, Value)], String> {
+    match field(r, key)? {
+        Value::Object(fields) => Ok(fields),
+        _ => Err(format!("`{key}` is not an object")),
+    }
+}
+
+fn kernels(r: &Value) -> Result<String, String> {
+    let at_10k = |s: &&Value| s.get("n").and_then(Value::as_u64) == Some(10_000);
+    let row = list(r, "sizes")?.iter().find(at_10k);
+    let row = row.ok_or("no n=10000 row; regenerate with: kernels --json")?;
+    let ms = |key| num(row, key).map_err(|e| format!("n=10000 {e}"));
+    let (exact, dense) = (ms("ocsvm_exact_ms")?, ms("kde_dense_eval_ms")?);
+    let mut shown = Vec::new();
+    for (path, slow, fast) in [
+        ("nystrom", exact, "ocsvm_nystrom_ms"),
+        ("rff", exact, "ocsvm_rff_ms"),
+        ("binned kde", dense, "kde_binned_eval_ms"),
+    ] {
+        let x = slow / ms(fast)?;
+        let why = format!("n=10000 {path} {x:.1}x below the {KERNEL_SPEEDUP_FLOOR}x floor");
+        ensure(x >= KERNEL_SPEEDUP_FLOOR, why)?;
+        shown.push(format!("{path} {x:.1}x"));
+    }
+    Ok(format!("n=10000: {}", shown.join(", ")))
+}
+
+fn drift(r: &Value) -> Result<String, String> {
+    let x = num(r, "cost_ratio")?;
+    let why = format!("cost_ratio {x:.1}x below the {DRIFT_RATIO_FLOOR}x floor");
+    ensure(x >= DRIFT_RATIO_FLOOR, why)?;
+    Ok(format!(
+        "incremental recalibration {x:.1}x cheaper than a refit"
+    ))
+}
+
+fn throughput(r: &Value) -> Result<String, String> {
+    let x = num(r, "amortization_ratio")?;
+    let (cps, p99) = (num(r, "chips_per_sec")?, num(r, "p99_batch_ms")?);
+    let why = format!("amortization {x:.1}x below the {AMORTIZATION_FLOOR}x floor");
+    ensure(x >= AMORTIZATION_FLOOR, why)?;
+    Ok(format!(
+        "{x:.0}x amortization, {cps:.0} chips/s, p99 {p99:.1} ms"
+    ))
+}
+
+fn scenarios(r: &Value) -> Result<String, String> {
+    let cells = list(r, "scenarios")?;
+    let n = cells.len();
+    ensure(n >= SCENARIO_MIN, format!("{n} cells, need {SCENARIO_MIN}"))?;
+    let name = |cell: &Value| cell.get("name").and_then(Value::as_str).map(String::from);
+    for (i, cell) in cells.iter().enumerate() {
+        let name = name(cell).ok_or_else(|| format!("cell {i} has no `name`"))?;
+        num(cell, "b5_fp").map_err(|e| format!("cell {name}: {e}"))?;
+    }
+    // B5 counts of a named cell; in the paper's convention "fp" counts
+    // missed Trojans and "fn" false alarms.
+    let b5 = |cell: &str, key: &str| -> Result<f64, String> {
+        let found = cells.iter().find(|c| name(c).as_deref() == Some(cell));
+        let found = found.ok_or_else(|| format!("missing the cell {cell}"))?;
+        num(found, key).map_err(|e| format!("cell {cell}: {e}"))
+    };
+    let (fp, fn_) = (b5(PAPER_CELL, "b5_fp")?, b5(PAPER_CELL, "b5_fn")?);
+    let why = format!("paper cell B5 FP {fp} (<= 2), FN {fn_} (<= 8)");
+    ensure(fp <= 2.0 && fn_ <= 8.0, why)?;
+    // The multi-parameter story: a dormant payload is invisible to power
+    // alone but caught by the full stack.
+    let missed = |cell| Ok::<_, String>((b5(cell, "b5_fp")?, b5(cell, "b5_infested")?));
+    let (blind, of) = missed(POWER_DORMANT_CELL)?;
+    let why = format!("power alone sees the dormant payload (B5 FP {blind}/{of})");
+    ensure(blind >= 0.9 * of, why)?;
+    let (wide, of) = missed(FULL_STACK_DORMANT_CELL)?;
+    let why = format!("the full stack misses the dormant payload (B5 FP {wide}/{of})");
+    ensure(wide <= 0.3 * of, why)?;
+    Ok(format!(
+        "{n} cells; paper B5 {fp}/{fn_}, dormant missed by power {blind}, by full stack {wide}"
+    ))
+}
+
+fn scaling(r: &Value) -> Result<String, String> {
+    let opening = |r: &Value, key: &str| {
+        let first = list(r, key)?.first().and_then(Value::as_f64);
+        first.ok_or_else(|| format!("`{key}` does not open with a number"))
+    };
+    let threads = opening(r, "thread_counts")?;
+    ensure(threads == 1.0, format!("ladder opens at threads={threads}"))?;
+    let total = opening(r, "total_speedup")?;
+    ensure(total == 1.0, format!("total speedup opens at {total}"))?;
+    let curves = field(r, "stages_speedup")?;
+    let n = object(r, "stages_speedup")?.len();
+    let why = format!("{n} stage curves, need {SCALING_MIN_STAGES}");
+    ensure(n >= SCALING_MIN_STAGES, why)?;
+    for (stage, _) in object(r, "stages_speedup")? {
+        let x = opening(curves, stage)?;
+        let why = format!("`{stage}` opens at {x}: the threads=1 reference drifted");
+        ensure(x == 1.0, why)?;
+    }
+    Ok(format!("{n} stage curves, ladder opens at threads=1"))
+}
+
+/// The non-empty `stages_ms` table of a `perf --json` record.
+fn stages(r: &Value) -> Result<Vec<(String, f64)>, String> {
+    let table = field(r, "stages_ms")?;
+    let names = object(r, "stages_ms")?;
+    ensure(!names.is_empty(), "`stages_ms` is empty".into())?;
+    let stage = |name: &String| Ok::<_, String>((name.clone(), num(table, name)?));
+    names.iter().map(|(name, _)| stage(name)).collect()
+}
+
+/// Report lines and failures of two fresh stage tables against the
+/// baseline.
+fn compare_timing<'a>(
+    base: &'a [(String, f64)],
+    run1: &'a [(String, f64)],
+    run2: &[(String, f64)],
+) -> (Vec<String>, Vec<String>) {
+    let ms = |run: &[(String, f64)], name: &str| run.iter().find(|s| s.0 == name).map(|s| s.1);
+    // A stage is freshly timed if both runs timed it, at its faster time.
+    let now = |name: &str| Some(ms(run1, name)?.min(ms(run2, name)?));
+    let name = |s: &'a (String, f64)| s.0.as_str();
+    let missing = base.iter().filter(|s| now(&s.0).is_none());
+    let missing: Vec<&str> = missing.map(name).collect();
+    let extra = run1
+        .iter()
+        .filter(|s| now(&s.0).is_some() && ms(base, &s.0).is_none());
+    let extra: Vec<&str> = extra.map(name).collect();
+    let mut failures = Vec::new();
+    for (why, stages) in [
+        ("not timed by both runs", missing),
+        ("not in the baseline", extra),
+    ] {
+        if !stages.is_empty() {
+            failures.push(format!("stages {why}: {}", stages.join(", ")));
+        }
+    }
+    let paired = base.iter().filter(|s| s.1 > 0.0);
+    let paired: Vec<_> = paired.filter_map(|(n, b)| Some((n, *b, now(n)?))).collect();
+    let load = paired.iter().map(|p| p.2).sum::<f64>() / paired.iter().map(|p| p.1).sum::<f64>();
+    let mut lines = vec![format!("load factor {load:.2}x (not gated)")];
+    for (name, base_ms, now_ms) in paired {
+        let share = (now_ms / (base_ms * load) - 1.0) * 100.0;
+        let gated = base_ms >= MIN_STAGE_MS;
+        let note = if gated { "" } else { "  (not gated)" };
+        lines.push(format!(
+            "{name:<20} base {base_ms:8.2} ms  now {now_ms:8.2} ms  {share:+6.1}% of share{note}"
+        ));
+        if gated && share > REGRESSION_PCT {
+            failures.push(format!("{name} share {share:+.1}% > +{REGRESSION_PCT}%"));
+        }
+    }
+    (lines, failures)
+}
+
+/// The parsed record at `path`, or `None` if there is no such file.
+fn read(path: &Path) -> Result<Option<Value>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => record::parse(&text).map(Some).map_err(|e| e.to_string()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// `--timing`: the failures of two fresh `perf --json` runs against the
+/// committed baseline.
+fn timing() -> Result<Vec<String>, String> {
+    let Some(base) = read(Path::new("BENCH_pipeline.json"))? else {
+        return Ok(Vec::new());
+    };
+    let perf = std::env::current_exe().map_err(|e| e.to_string())?;
+    let perf = perf.with_file_name("perf");
+    let dir = std::env::temp_dir().join(format!("bench-gate-{}", std::process::id()));
+    let run = |i: usize| -> Result<Vec<(String, f64)>, String> {
+        println!("bench-gate: timing run {i}/2");
+        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        let mut cmd = Command::new(&perf);
+        let status = cmd
+            .arg("--json")
+            .current_dir(&dir)
+            .stdout(Stdio::null())
+            .status();
+        let status = status.map_err(|e| format!("cannot run {}: {e}", perf.display()))?;
+        ensure(status.success(), format!("perf --json failed: {status}"))?;
+        let fresh = read(&dir.join("BENCH_pipeline.json"))?;
+        stages(&fresh.ok_or("perf --json wrote no BENCH_pipeline.json")?)
+    };
+    let runs = (run(1), run(2));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (lines, failures) = compare_timing(&stages(&base)?, &runs.0?, &runs.1?);
+    lines.iter().for_each(|line| println!("  {line}"));
+    Ok(failures)
+}
+
+fn main() -> ExitCode {
+    let mut failures = Vec::new();
+    for (file, check) in CHECKS {
+        match read(Path::new(file)).and_then(|r| r.map(|r| check(&r)).transpose()) {
+            Ok(Some(summary)) => println!("bench-gate: {file} OK ({summary})"),
+            Ok(None) => println!("bench-gate: {file} absent, skipped"),
+            Err(why) => failures.push(format!("{file}: {why}")),
+        }
+    }
+    if failures.is_empty() && std::env::args().any(|a| a == "--timing") {
+        failures = timing().unwrap_or_else(|why| vec![format!("timing: {why}")]);
+    }
+    for failure in &failures {
+        println!("bench-gate: FAIL — {failure}");
+    }
+    if !failures.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    println!("bench-gate: OK");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(file: &str) -> Value {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        read(&path).unwrap().unwrap()
+    }
+
+    /// The committed record, rewritten and then edited as text.
+    fn edited(file: &str, edit: impl Fn(&str) -> String) -> Value {
+        record::parse(&edit(&record::write(&committed(file)))).unwrap()
+    }
+
+    #[test]
+    fn every_committed_record_parses_and_passes_its_check() {
+        for (file, check) in CHECKS {
+            let record = committed(file);
+            assert_eq!(record::parse(&record::write(&record)).as_ref(), Ok(&record));
+            check(&record).unwrap_or_else(|e| panic!("{file}: {e}"));
+        }
+    }
+
+    // The four cases the line-regex shell gate got wrong.
+
+    #[test]
+    fn null_kernel_timing_fails_naming_the_field() {
+        let r = edited("BENCH_kernels.json", |t| {
+            t.replacen(
+                "\"ocsvm_nystrom_ms\": 350.85",
+                "\"ocsvm_nystrom_ms\": null",
+                1,
+            )
+        });
+        let err = kernels(&r).unwrap_err();
+        assert!(err.contains("`ocsvm_nystrom_ms` is null"), "{err}");
+    }
+
+    #[test]
+    fn minified_drift_record_passes() {
+        let text = record::write(&committed("BENCH_drift.json"));
+        let minified: String = text.split_whitespace().collect();
+        assert!(!minified.contains('\n'));
+        let summary = drift(&record::parse(&minified).unwrap()).unwrap();
+        assert!(summary.contains("4.8x"), "{summary}");
+    }
+
+    #[test]
+    fn scenario_story_cells_are_required() {
+        let mut r = committed("BENCH_scenarios.json");
+        let Some((_, Value::List(cells))) = (match &mut r {
+            Value::Object(top) => top.iter_mut().find(|(k, _)| k == "scenarios"),
+            _ => None,
+        }) else {
+            panic!("no scenarios list")
+        };
+        cells.retain(|c| {
+            let name = c.get("name").and_then(Value::as_str);
+            name != Some(POWER_DORMANT_CELL) && name != Some(FULL_STACK_DORMANT_CELL)
+        });
+        assert_eq!(cells.len(), 14);
+        let err = scenarios(&r).unwrap_err();
+        assert!(err.contains(POWER_DORMANT_CELL), "{err}");
+    }
+
+    #[test]
+    fn null_paper_cell_b5_fn_fails() {
+        let r = edited("BENCH_scenarios.json", |t| {
+            t.replacen("\"b5_fn\": 0,", "\"b5_fn\": null,", 1)
+        });
+        let err = scenarios(&r).unwrap_err();
+        assert!(
+            err.contains(PAPER_CELL) && err.contains("`b5_fn` is null"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn breached_floors_fail() {
+        let r = edited("BENCH_drift.json", |t| t.replace("4.786", "2.9"));
+        assert!(
+            drift(&r).unwrap_err().contains("below the 3x floor"),
+            "{:?}",
+            drift(&r)
+        );
+        let r = edited("BENCH_throughput.json", |t| t.replace("906.8", "99.0"));
+        assert!(throughput(&r).is_err());
+        let r = edited("BENCH_scaling.json", |t| {
+            t.replacen("\"kmm\": [1.0]", "\"kmm\": [0.9]", 1)
+        });
+        assert!(scaling(&r).unwrap_err().contains("kmm"));
+        let r = edited("BENCH_kernels.json", |t| t.replace("406.56", "600.0"));
+        assert!(kernels(&r).unwrap_err().contains("rff"));
+    }
+
+    fn stages(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|(n, ms)| (n.to_string(), *ms)).collect()
+    }
+
+    const BASE: [(&str, f64); 4] = [
+        ("kmm", 20.0),
+        ("boundary.B5", 10.0),
+        ("regression", 10.0),
+        ("evaluate", 0.1),
+    ];
+
+    fn compare(run1: &[(&str, f64)], run2: &[(&str, f64)]) -> (Vec<String>, Vec<String>) {
+        compare_timing(&stages(&BASE), &stages(run1), &stages(run2))
+    }
+
+    #[test]
+    fn uniform_load_passes() {
+        let doubled = BASE.map(|(n, ms)| (n, ms * 2.0));
+        let (lines, failures) = compare(&doubled, &doubled);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(lines[0].contains("load factor 2.00x"), "{lines:?}");
+        assert!(
+            lines[1..].iter().all(|l| l.contains(" +0.0% of share")),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn one_stage_growing_its_share_fails() {
+        let mut slow = BASE;
+        slow[1].1 = 15.0;
+        let (lines, failures) = compare(&slow, &slow);
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("boundary.B5") && l.contains("+33.")));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("boundary.B5 share +33."),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn the_faster_of_two_runs_counts() {
+        let mut noisy = BASE;
+        noisy[1].1 = 40.0;
+        assert!(compare(&noisy, &BASE).1.is_empty());
+    }
+
+    #[test]
+    fn stage_set_drift_fails_both_ways() {
+        let (_, failures) = compare(&BASE[..3], &BASE[..3]);
+        assert_eq!(failures.len(), 1);
+        assert!(
+            failures[0].contains("not timed by both runs: evaluate"),
+            "{failures:?}"
+        );
+        let mut more = BASE.to_vec();
+        more.push(("score.sanitize", 3.0));
+        let (_, failures) = compare(&more, &more);
+        assert_eq!(failures.len(), 1);
+        assert!(
+            failures[0].contains("not in the baseline: score.sanitize"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn sub_millisecond_stages_are_reported_not_gated() {
+        let mut jitter = BASE;
+        jitter[3].1 = 0.5;
+        let (lines, failures) = compare(&jitter, &jitter);
+        assert!(failures.is_empty(), "{failures:?}");
+        let evaluate = lines.iter().find(|l| l.starts_with("evaluate")).unwrap();
+        assert!(
+            evaluate.ends_with("(not gated)") && evaluate.contains("+395."),
+            "{evaluate}"
+        );
+    }
+}

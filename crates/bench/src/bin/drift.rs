@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use sidefp_bench::record::{self, Value};
 use sidefp_core::{ExperimentConfig, PaperExperiment, RecalHealth};
 use sidefp_faults::{DriftClass, DriftPlan};
 use sidefp_obs::RunContext;
@@ -129,18 +130,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("  cost ratio   full/incremental = {ratio:.1}x");
 
     if json {
-        let payload = format!(
-            "{{\n  \"bench\": \"drift\",\n  \"lots\": {},\n  \"recalibrated\": {},\n  \
-             \"refitted\": {},\n  \"incremental_ms_per_action\": {:.3},\n  \
-             \"full_refit_ms_per_action\": {:.3},\n  \"cost_ratio\": {:.3}\n}}\n",
-            LOTS + 1,
-            recals,
-            refits,
-            inc_ms,
-            refit_ms,
-            ratio,
-        );
-        std::fs::write("BENCH_drift.json", payload)?;
+        let bench = record::object([
+            ("bench", Value::from("drift")),
+            ("lots", (LOTS + 1).into()),
+            ("recalibrated", recals.into()),
+            ("refitted", refits.into()),
+            ("incremental_ms_per_action", inc_ms.into()),
+            ("full_refit_ms_per_action", refit_ms.into()),
+            ("cost_ratio", ratio.into()),
+        ]);
+        std::fs::write("BENCH_drift.json", record::write(&bench))?;
         println!("wrote BENCH_drift.json");
     }
     Ok(())

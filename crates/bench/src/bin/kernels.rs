@@ -18,10 +18,10 @@
 //!
 //! Build with `--release`; the debug profile distorts the hot paths.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use sidefp_bench::or_die;
+use sidefp_bench::record::{self, Value};
 use sidefp_linalg::Matrix;
 use sidefp_stats::kde::{AdaptiveKde, KdeConfig};
 use sidefp_stats::{
@@ -72,13 +72,6 @@ fn ratio(num: Option<f64>, den: f64) -> String {
     match num {
         Some(v) => format!("{:.1}x", v / den),
         None => "-".into(),
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.2}"),
-        None => "null".into(),
     }
 }
 
@@ -246,30 +239,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if json {
-        let mut entries = String::new();
-        for (i, r) in reports.iter().enumerate() {
-            let sep = if i + 1 < reports.len() { "," } else { "" };
-            let _ = write!(
-                entries,
-                "    {{\n      \"n\": {},\n      \"ocsvm_exact_ms\": {},\n      \
-                 \"ocsvm_nystrom_ms\": {:.2},\n      \"ocsvm_rff_ms\": {:.2},\n      \
-                 \"kmm_exact_ms\": {},\n      \"kmm_lowrank_ms\": {:.2},\n      \
-                 \"kde_fit_ms\": {:.2},\n      \"kde_dense_eval_ms\": {},\n      \
-                 \"kde_binned_build_ms\": {:.2},\n      \"kde_binned_eval_ms\": {:.2}\n    }}{sep}\n",
-                r.n,
-                json_opt(r.ocsvm_exact_ms),
-                r.ocsvm_nystrom_ms,
-                r.ocsvm_rff_ms,
-                json_opt(r.kmm_exact_ms),
-                r.kmm_lowrank_ms,
-                r.kde_fit_ms,
-                json_opt(r.kde_dense_eval_ms),
-                r.kde_binned_build_ms,
-                r.kde_binned_eval_ms,
-            );
-        }
-        let payload = format!("{{\n  \"bench\": \"kernels\",\n  \"sizes\": [\n{entries}  ]\n}}\n");
-        std::fs::write("BENCH_kernels.json", payload)?;
+        let sizes = reports.iter().map(|r| {
+            record::object([
+                ("n", Value::from(r.n)),
+                ("ocsvm_exact_ms", r.ocsvm_exact_ms.into()),
+                ("ocsvm_nystrom_ms", r.ocsvm_nystrom_ms.into()),
+                ("ocsvm_rff_ms", r.ocsvm_rff_ms.into()),
+                ("kmm_exact_ms", r.kmm_exact_ms.into()),
+                ("kmm_lowrank_ms", r.kmm_lowrank_ms.into()),
+                ("kde_fit_ms", r.kde_fit_ms.into()),
+                ("kde_dense_eval_ms", r.kde_dense_eval_ms.into()),
+                ("kde_binned_build_ms", r.kde_binned_build_ms.into()),
+                ("kde_binned_eval_ms", r.kde_binned_eval_ms.into()),
+            ])
+        });
+        let bench = record::object([
+            ("bench", Value::from("kernels")),
+            ("sizes", Value::List(sizes.collect())),
+        ]);
+        std::fs::write("BENCH_kernels.json", record::write(&bench))?;
         println!("wrote BENCH_kernels.json");
     }
     Ok(())

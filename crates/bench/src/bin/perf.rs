@@ -38,8 +38,10 @@
 //! counting global allocator slows the wall-clock numbers slightly, so
 //! the two measurements are behind separate invocations).
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
+use sidefp_bench::record::{self, Value};
 use sidefp_core::{
     BatchScorer, ExperimentConfig, FittedModel, PaperExperiment, ParallelismConfig, RunContext,
 };
@@ -183,18 +185,7 @@ fn measure_steady_state_allocs() -> AllocReport {
 /// full reduced run (the context carries the per-stage timings and the
 /// trace-event ring).
 fn time_run(threads: usize, seed: u64) -> (f64, usize, RunContext) {
-    let config = ExperimentConfig {
-        seed,
-        chips: 12,
-        mc_samples: 60,
-        kde_samples: 8000,
-        parallelism: ParallelismConfig {
-            threads,
-            deterministic: true,
-        },
-        ..Default::default()
-    };
-    let experiment = sidefp_bench::or_die(PaperExperiment::new(config));
+    let experiment = sidefp_bench::or_die(PaperExperiment::new(reduced_config(seed, threads)));
     let ctx = RunContext::new();
     let start = Instant::now();
     let artifacts = sidefp_bench::or_die(experiment.run_in_context(&ctx));
@@ -213,6 +204,35 @@ fn time_run(threads: usize, seed: u64) -> (f64, usize, RunContext) {
     (elapsed, result.resolved_threads, ctx)
 }
 
+/// The reduced pipeline configuration every timed run uses.
+fn reduced_config(seed: u64, threads: usize) -> ExperimentConfig {
+    ExperimentConfig {
+        seed,
+        chips: 12,
+        mc_samples: 60,
+        kde_samples: 8000,
+        parallelism: ParallelismConfig {
+            threads,
+            deterministic: true,
+        },
+        ..Default::default()
+    }
+}
+
+/// Folds one run's stage timings into per-stage minima: load noise is
+/// one-sided, so each stage's fastest rep is its stable estimate.
+fn keep_minima(
+    minima: &mut BTreeMap<String, f64>,
+    stages: impl IntoIterator<Item = (String, f64)>,
+) {
+    for (name, ms) in stages {
+        minima
+            .entry(name)
+            .and_modify(|m| *m = m.min(ms))
+            .or_insert(ms);
+    }
+}
+
 /// Fits one model and times `reps` batch scores against it (threads=1,
 /// one warm-up batch). Returns the per-stage minima of the `score.*`
 /// spans and the best whole-batch wall-clock.
@@ -222,35 +242,19 @@ fn time_scoring(
     reps: usize,
     batch_devices: usize,
 ) -> Result<ScoringReport, Box<dyn std::error::Error>> {
-    let config = ExperimentConfig {
-        seed: 2,
-        chips: 12,
-        mc_samples: 60,
-        kde_samples: 8000,
-        parallelism: ParallelismConfig {
-            threads: 1,
-            deterministic: true,
-        },
-        ..Default::default()
-    };
-    let model = FittedModel::fit(&config)?;
+    let model = FittedModel::fit(&reduced_config(2, 1))?;
     let mut scorer = BatchScorer::new(&model);
     let (fps, pcms) = model.synthesize_batch(99, batch_devices);
     // Warm-up batch: first call grows the workspace pool.
     scorer.score_batch(&fps, &pcms, &RunContext::new())?;
-    let mut stage_min: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
+    let mut stage_min = BTreeMap::new();
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
         let ctx = RunContext::new();
         let start = Instant::now();
         scorer.score_batch(&fps, &pcms, &ctx)?;
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-        for (name, ms) in ctx.timing_snapshot() {
-            stage_min
-                .entry(name)
-                .and_modify(|m| *m = m.min(ms))
-                .or_insert(ms);
-        }
+        keep_minima(&mut stage_min, ctx.timing_snapshot());
     }
     Ok((stage_min.into_iter().collect(), best_ms))
 }
@@ -262,7 +266,7 @@ fn time_scoring(
 /// still pins the guided scheduler's zero-overhead sequential delegation
 /// — the committed curve must open at exactly 1.0 for every stage.
 fn run_scaling(cores: usize) -> Result<(), Box<dyn std::error::Error>> {
-    let reps = 3;
+    let reps = 3usize;
     let ladder: Vec<usize> = [1usize, 2, 4, 8]
         .into_iter()
         .filter(|&t| t == 1 || t <= cores)
@@ -273,7 +277,7 @@ fn run_scaling(cores: usize) -> Result<(), Box<dyn std::error::Error>> {
     let _ = time_run(1, 1);
 
     let mut totals: Vec<f64> = Vec::with_capacity(ladder.len());
-    let mut tables: Vec<std::collections::BTreeMap<String, f64>> = Vec::with_capacity(ladder.len());
+    let mut tables: Vec<BTreeMap<String, f64>> = Vec::with_capacity(ladder.len());
     for (li, &t) in ladder.iter().enumerate() {
         println!(
             "scaling rung {}/{}: threads={t} ({reps} reps)",
@@ -281,17 +285,11 @@ fn run_scaling(cores: usize) -> Result<(), Box<dyn std::error::Error>> {
             ladder.len()
         );
         let mut best = f64::INFINITY;
-        let mut stage_min: std::collections::BTreeMap<String, f64> =
-            std::collections::BTreeMap::new();
+        let mut stage_min = BTreeMap::new();
         for r in 0..reps {
             let (ms, _, ctx) = time_run(t, 2 + r as u64);
             best = best.min(ms);
-            for (name, stage_ms) in ctx.timing_snapshot() {
-                stage_min
-                    .entry(name)
-                    .and_modify(|m| *m = m.min(stage_ms))
-                    .or_insert(stage_ms);
-            }
+            keep_minima(&mut stage_min, ctx.timing_snapshot());
         }
         totals.push(best);
         tables.push(stage_min);
@@ -310,37 +308,33 @@ fn run_scaling(cores: usize) -> Result<(), Box<dyn std::error::Error>> {
         let parts: Vec<String> = v.iter().map(|x| format!("{x:.3}")).collect();
         format!("[{}]", parts.join(", "))
     };
-    let counts_str = {
-        let parts: Vec<String> = ladder.iter().map(|t| t.to_string()).collect();
-        format!("[{}]", parts.join(", "))
-    };
     let total_speedup: Vec<f64> = totals.iter().map(|ms| totals[0] / ms).collect();
 
     println!("scaling (chips 12, mc 60, kde 8000; per-rung min over {reps} reps):");
-    println!("  threads      {counts_str}");
+    println!("  threads      {ladder:?}");
     println!("  total ms     {}", fmt(&totals));
     println!("  total x      {}", fmt(&total_speedup));
-    let mut stage_ms_lines: Vec<String> = Vec::with_capacity(stage_names.len());
-    let mut stage_speedup_lines: Vec<String> = Vec::with_capacity(stage_names.len());
+    let mut stages_ms = Vec::with_capacity(stage_names.len());
+    let mut stages_speedup = Vec::with_capacity(stage_names.len());
     for name in &stage_names {
         let ms: Vec<f64> = tables.iter().map(|tbl| tbl[name]).collect();
         let speedup: Vec<f64> = ms.iter().map(|v| ms[0] / v).collect();
         println!("  {name:<16} {}  {}", fmt(&ms), fmt(&speedup));
-        stage_ms_lines.push(format!("    \"{name}\": {}", fmt(&ms)));
-        stage_speedup_lines.push(format!("    \"{name}\": {}", fmt(&speedup)));
+        stages_ms.push((name.as_str(), Value::from(ms)));
+        stages_speedup.push((name.as_str(), Value::from(speedup)));
     }
 
-    let payload = format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"cores\": {cores},\n  \"reps\": {reps},\n  \
-         \"thread_counts\": {counts_str},\n  \
-         \"total_ms\": {},\n  \"total_speedup\": {},\n  \
-         \"stages_ms\": {{\n{}\n  }},\n  \"stages_speedup\": {{\n{}\n  }}\n}}\n",
-        fmt(&totals),
-        fmt(&total_speedup),
-        stage_ms_lines.join(",\n"),
-        stage_speedup_lines.join(",\n"),
-    );
-    std::fs::write("BENCH_scaling.json", payload)?;
+    let bench = record::object([
+        ("bench", Value::from("scaling")),
+        ("cores", cores.into()),
+        ("reps", reps.into()),
+        ("thread_counts", ladder.into()),
+        ("total_ms", totals.into()),
+        ("total_speedup", total_speedup.into()),
+        ("stages_ms", record::object(stages_ms)),
+        ("stages_speedup", record::object(stages_speedup)),
+    ]);
+    std::fs::write("BENCH_scaling.json", record::write(&bench))?;
     println!("wrote BENCH_scaling.json");
     Ok(())
 }
@@ -404,24 +398,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // of the best-total rep: a rep that wins on total wall-clock can
     // still have been preempted inside one stage, and that one noisy
     // entry is exactly what trips a share-based regression gate.
-    let mut stage_min: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
+    let mut stage_min = BTreeMap::new();
     for (_, _, ctx) in &single_runs {
-        for (name, ms) in ctx.timing_snapshot() {
-            stage_min
-                .entry(name)
-                .and_modify(|m| *m = m.min(ms))
-                .or_insert(ms);
-        }
+        keep_minima(&mut stage_min, ctx.timing_snapshot());
     }
     // Merge the scoring-phase stages into the table: the committed
     // baseline's stage set must match what a fresh default run produces,
     // so the score.* entries are always present, not opt-in.
-    for (name, ms) in &score_stages {
-        stage_min
-            .entry(name.clone())
-            .and_modify(|m| *m = m.min(*ms))
-            .or_insert(*ms);
-    }
+    keep_minima(&mut stage_min, score_stages);
     let stages: Vec<(String, f64)> = stage_min.into_iter().collect();
 
     println!("pipeline (chips 12, mc 60, kde 8000), best of {reps}:");
@@ -466,42 +450,43 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if json {
-        let stage_lines: Vec<String> = stages
-            .iter()
-            .map(|(name, ms)| format!("    \"{name}\": {ms:.2}"))
-            .collect();
-        let alloc_block = match &allocs {
-            Some(report) => format!(
-                ",\n  \"steady_state_allocs\": {{\n    \
-                 \"kde_density_rows\": {},\n    \
-                 \"ocsvm_decision_rows\": {},\n    \
-                 \"score_into_rows\": {},\n    \
-                 \"packed_gemm\": {}\n  }}",
-                report.kde_density_rows,
-                report.ocsvm_decision_rows,
-                report.score_into_rows,
-                report.packed_gemm
-            ),
-            None => String::new(),
-        };
+        let mut fields = vec![
+            ("bench", Value::from("pipeline")),
+            ("cores", cores.into()),
+            ("resolved_threads", resolved_threads.into()),
+            ("threads1_ms", single_ms.into()),
+            ("default_ms", pooled_ms.into()),
+        ];
         // On a single-core host the pooled run is the same configuration
         // as the threads=1 run; publishing their ratio would record load
         // noise as a parallel speedup, so the field is null with a note.
-        let speedup_field = if cores == 1 {
-            "\"speedup\": null,\n  \"speedup_note\": \"single-core host: pooled run equals \
-             threads=1, no parallel speedup is measurable\","
-                .to_string()
+        if cores == 1 {
+            fields.push(("speedup", Value::Null));
+            fields.push((
+                "speedup_note",
+                "single-core host: pooled run equals threads=1, no parallel speedup is measurable"
+                    .into(),
+            ));
         } else {
-            format!("\"speedup\": {speedup:.3},")
-        };
-        let payload = format!(
-            "{{\n  \"bench\": \"pipeline\",\n  \"cores\": {cores},\n  \
-             \"resolved_threads\": {resolved_threads},\n  \
-             \"threads1_ms\": {single_ms:.2},\n  \"default_ms\": {pooled_ms:.2},\n  \
-             {speedup_field}\n  \"stages_ms\": {{\n{}\n  }}{alloc_block}\n}}\n",
-            stage_lines.join(",\n")
-        );
-        std::fs::write("BENCH_pipeline.json", payload)?;
+            fields.push(("speedup", speedup.into()));
+        }
+        let stages_ms = stages
+            .iter()
+            .map(|(name, ms)| (name.as_str(), Value::from(*ms)));
+        fields.push(("stages_ms", record::object(stages_ms)));
+        if let Some(report) = &allocs {
+            let counts = record::object([
+                ("kde_density_rows", Value::from(report.kde_density_rows)),
+                ("ocsvm_decision_rows", report.ocsvm_decision_rows.into()),
+                ("score_into_rows", report.score_into_rows.into()),
+                ("packed_gemm", report.packed_gemm.into()),
+            ]);
+            fields.push(("steady_state_allocs", counts));
+        }
+        std::fs::write(
+            "BENCH_pipeline.json",
+            record::write(&record::object(fields)),
+        )?;
         println!("wrote BENCH_pipeline.json");
     }
 

@@ -23,6 +23,7 @@
 
 use std::process::ExitCode;
 
+use sidefp_bench::record::{self, Value};
 use sidefp_chip::trojan::TrojanSuite;
 use sidefp_core::scenario::{channel_sets, Scenario, ScenarioOutcome};
 use sidefp_core::{CoreError, ExperimentConfig};
@@ -115,46 +116,42 @@ fn render_markdown(outcomes: &[ScenarioOutcome]) -> String {
     out
 }
 
-fn render_json(base_seed: u64, outcomes: &[ScenarioOutcome]) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"scenario_matrix\",\n  \"base_seed\": {base_seed},\n  \"scenarios\": [\n"
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"channels\": \"{}\",\n      \
-             \"classes\": \"{}\",\n      \"corner\": \"{}\",\n      \"preset\": \"{}\",\n      \
-             \"seed\": {},\n      \"devices\": {},\n      \"fingerprint_width\": {}",
-            o.name,
-            o.channels.join("+"),
-            o.trojan_classes.join("+"),
-            o.corner,
-            o.preset,
-            o.seed,
-            o.devices,
-            o.fingerprint_width,
-        ));
-        for r in &o.table1 {
-            out.push_str(&format!(
-                ",\n      \"{}_fp\": {},\n      \"{}_infested\": {},\n      \
-                 \"{}_fn\": {},\n      \"{}_free\": {}",
-                r.dataset.to_lowercase(),
-                r.counts.false_positives(),
-                r.dataset.to_lowercase(),
-                r.counts.infested_total(),
-                r.dataset.to_lowercase(),
-                r.counts.false_negatives(),
-                r.dataset.to_lowercase(),
-                r.counts.free_total(),
-            ));
-        }
-        out.push_str(if i + 1 == outcomes.len() {
-            "\n    }\n"
-        } else {
-            "\n    },\n"
+/// The `BENCH_scenarios.json` record: one object per cell with its
+/// flattened per-boundary counts (`b1_fp` … `b5_free`).
+fn bench_record(base_seed: u64, outcomes: &[ScenarioOutcome]) -> Value {
+    let cell = |o: &ScenarioOutcome| {
+        let head = [
+            ("name", Value::from(o.name.as_str())),
+            ("channels", Value::Str(o.channels.join("+"))),
+            ("classes", Value::Str(o.trojan_classes.join("+"))),
+            ("corner", o.corner.into()),
+            ("preset", o.preset.into()),
+            ("seed", o.seed.into()),
+            ("devices", o.devices.into()),
+            ("fingerprint_width", o.fingerprint_width.into()),
+        ];
+        let counts = o.table1.iter().flat_map(|r| {
+            let c = &r.counts;
+            let b = r.dataset.to_lowercase();
+            [
+                ("fp", c.false_positives()),
+                ("infested", c.infested_total()),
+                ("fn", c.false_negatives()),
+                ("free", c.free_total()),
+            ]
+            .map(|(what, n)| (format!("{b}_{what}"), Value::from(n)))
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        let head = head.map(|(k, v)| (k.to_string(), v));
+        record::object(head.into_iter().chain(counts))
+    };
+    record::object([
+        ("bench", Value::from("scenario_matrix")),
+        ("base_seed", base_seed.into()),
+        (
+            "scenarios",
+            Value::List(outcomes.iter().map(cell).collect()),
+        ),
+    ])
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
@@ -185,7 +182,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", render_markdown(&outcomes));
 
     if json {
-        let payload = render_json(base.seed, &outcomes);
+        let payload = record::write(&bench_record(base.seed, &outcomes));
         std::fs::write("BENCH_scenarios.json", payload)
             .map_err(|e| format!("write BENCH_scenarios.json: {e}"))?;
         println!(

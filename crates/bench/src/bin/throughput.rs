@@ -27,6 +27,7 @@
 
 use std::time::Instant;
 
+use sidefp_bench::record::{self, Value};
 use sidefp_core::{BatchScorer, ExperimentConfig, FittedModel, RunContext};
 
 /// Default batches per run.
@@ -112,18 +113,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("  artifact overhead {bytes_per_chip:10.3} bytes/chip over this stream");
 
     if json {
-        let payload = format!(
-            "{{\n  \"bench\": \"throughput\",\n  \"fit_ms\": {fit_ms:.1},\n  \
-             \"artifact_bytes\": {artifact_bytes},\n  \"batches\": {batches},\n  \
-             \"batch_devices\": {batch_devices},\n  \"chips_scored\": {scored},\n  \
-             \"chips_per_sec\": {chips_per_sec:.0},\n  \"p50_batch_ms\": {p50:.2},\n  \
-             \"p99_batch_ms\": {p99:.2},\n  \
-             \"full_pipeline_ms_per_chip\": {full_pipeline_ms_per_chip:.4},\n  \
-             \"score_ms_per_chip\": {score_ms_per_chip:.6},\n  \
-             \"amortization_ratio\": {amortization:.1},\n  \
-             \"bytes_per_chip\": {bytes_per_chip:.3}\n}}\n"
-        );
-        std::fs::write("BENCH_throughput.json", payload)?;
+        let bench = record::object([
+            ("bench", Value::from("throughput")),
+            ("fit_ms", fit_ms.into()),
+            ("artifact_bytes", artifact_bytes.into()),
+            ("batches", batches.into()),
+            ("batch_devices", batch_devices.into()),
+            ("chips_scored", scored.into()),
+            ("chips_per_sec", chips_per_sec.into()),
+            ("p50_batch_ms", p50.into()),
+            ("p99_batch_ms", p99.into()),
+            (
+                "full_pipeline_ms_per_chip",
+                full_pipeline_ms_per_chip.into(),
+            ),
+            ("score_ms_per_chip", score_ms_per_chip.into()),
+            ("amortization_ratio", amortization.into()),
+            ("bytes_per_chip", bytes_per_chip.into()),
+        ]);
+        std::fs::write("BENCH_throughput.json", record::write(&bench))?;
         println!("wrote BENCH_throughput.json");
     }
     Ok(())

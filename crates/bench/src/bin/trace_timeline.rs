@@ -24,44 +24,8 @@
 
 use std::fmt::Write as _;
 
+use sidefp_bench::record::{self, Value};
 use sidefp_core::{ExperimentConfig, PaperExperiment, RunContext};
-
-/// Extracts the string value of `"key":"..."` from one JSONL line,
-/// undoing the escapes our tracer emits.
-fn get_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":N` from one JSONL line.
-fn get_num(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
 
 /// One rendered timeline row.
 struct Row {
@@ -78,11 +42,17 @@ fn build_rows(jsonl: &str) -> (Vec<Row>, Vec<String>) {
     let mut rows = Vec::new();
     let mut stack: Vec<String> = Vec::new();
     for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-        let seq = get_num(line, "seq").unwrap_or(0);
-        let ty = get_str(line, "type").unwrap_or_else(|| "?".into());
-        match ty.as_str() {
+        let record = record::parse(line).unwrap_or(Value::Null);
+        let get_str = |key: &str| {
+            let value = record.get(key).and_then(Value::as_str);
+            value.unwrap_or_default().to_string()
+        };
+        let get_num = |key: &str| record.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let seq = get_num("seq");
+        let ty = record.get("type").and_then(Value::as_str).unwrap_or("?");
+        match ty {
             "stage_start" => {
-                let stage = get_str(line, "stage").unwrap_or_default();
+                let stage = get_str("stage");
                 rows.push(Row {
                     seq,
                     depth: stack.len(),
@@ -92,7 +62,7 @@ fn build_rows(jsonl: &str) -> (Vec<Row>, Vec<String>) {
                 stack.push(stage);
             }
             "stage_end" => {
-                let stage = get_str(line, "stage").unwrap_or_default();
+                let stage = get_str("stage");
                 let matched = stack.last().is_some_and(|s| *s == stage);
                 if matched {
                     stack.pop();
@@ -112,32 +82,28 @@ fn build_rows(jsonl: &str) -> (Vec<Row>, Vec<String>) {
                 let text = match other {
                     "rescue" => format!(
                         "rescue: {} {} x{}",
-                        get_str(line, "solver").unwrap_or_default(),
-                        get_str(line, "kind").unwrap_or_default(),
-                        get_num(line, "count").unwrap_or(0)
+                        get_str("solver"),
+                        get_str("kind"),
+                        get_num("count")
                     ),
-                    "model_fit" => format!(
-                        "model_fit: {} {}",
-                        get_str(line, "model").unwrap_or_default(),
-                        get_str(line, "detail").unwrap_or_default()
-                    ),
+                    "model_fit" => format!("model_fit: {} {}", get_str("model"), get_str("detail")),
                     "quarantine" => format!(
                         "quarantine: device {} ({})",
-                        get_num(line, "device").unwrap_or(0),
-                        get_str(line, "reason").unwrap_or_default()
+                        get_num("device"),
+                        get_str("reason")
                     ),
                     "lot_decision" => format!(
                         "lot {}: {} — {}",
-                        get_num(line, "lot").unwrap_or(0),
-                        get_str(line, "decision").unwrap_or_default(),
-                        get_str(line, "detail").unwrap_or_default()
+                        get_num("lot"),
+                        get_str("decision"),
+                        get_str("detail")
                     ),
                     "batch_scored" => format!(
                         "batch {}: {} devices, {} kept, {} flagged",
-                        get_num(line, "batch").unwrap_or(0),
-                        get_num(line, "devices").unwrap_or(0),
-                        get_num(line, "kept").unwrap_or(0),
-                        get_num(line, "flagged").unwrap_or(0)
+                        get_num("batch"),
+                        get_num("devices"),
+                        get_num("kept"),
+                        get_num("flagged")
                     ),
                     _ => format!("{ty}: {line}"),
                 };
@@ -256,5 +222,65 @@ fn main() {
             println!("wrote {path} ({} rows)", rows.len());
         }
         None => print!("{rendered}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ring that overflowed mid-span: it opens on the `stage_end` of a
+    /// span whose start was dropped and ends with `kmm` still open.
+    const SAMPLE: &str = r#"{"seq":7,"type":"stage_end","stage":"mc"}
+{"seq":8,"type":"stage_start","stage":"kmm"}
+{"seq":9,"type":"quarantine","device":12,"reason":"dead \"device\"\nrow\u001f"}
+{"seq":10,"type":"stage_start","stage":"boundary.B5"}
+{"seq":11,"type":"rescue","solver":"smo","kind":"relaxed","count":2}
+{"seq":12,"type":"stage_end","stage":"boundary.B5"}
+
+{"seq":13,"type":"lot_decision","lot":3,"decision":"recalibrate","detail":"ewma z=4.20"}
+{"seq":14,"type":"mystery","x":1}
+"#;
+
+    #[test]
+    fn sample_trace_renders_nesting_escapes_and_overflow() {
+        let (rows, open) = build_rows(SAMPLE);
+        let shown: Vec<(u64, usize, &str, &str)> = rows
+            .iter()
+            .map(|r| (r.seq, r.depth, r.kind, r.text.as_str()))
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                (7, 0, "close", "mc (unmatched)"),
+                (8, 0, "open", "kmm"),
+                (
+                    9,
+                    1,
+                    "event",
+                    "quarantine: device 12 (dead \"device\"\nrow\u{1f})"
+                ),
+                (10, 1, "open", "boundary.B5"),
+                (11, 2, "event", "rescue: smo relaxed x2"),
+                (12, 1, "close", "boundary.B5"),
+                (13, 1, "event", "lot 3: recalibrate — ewma z=4.20"),
+                (
+                    14,
+                    1,
+                    "event",
+                    "mystery: {\"seq\":14,\"type\":\"mystery\",\"x\":1}"
+                ),
+            ]
+        );
+        assert_eq!(open, ["kmm"]);
+        let text = render_text(&rows, &open);
+        assert!(text.ends_with("unclosed at end of trace: kmm\n"), "{text}");
+    }
+
+    #[test]
+    fn unparsable_lines_are_kept_as_unknown_events() {
+        let (rows, open) = build_rows("{\"seq\":1,\"type\":\"stage_start\"\n");
+        assert_eq!(rows[0].text, "?: {\"seq\":1,\"type\":\"stage_start\"");
+        assert_eq!((rows[0].seq, open.len()), (0, 0));
     }
 }

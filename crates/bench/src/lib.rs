@@ -10,7 +10,9 @@
 //! - `extension_*` — experiments beyond the paper (PCM tampering,
 //!   multi-parameter fingerprints, environment mismatch),
 //! - `diagnose` / `calibrate` — the tools used to calibrate the
-//!   synthetic fab against the paper's Table-1 shape.
+//!   synthetic fab against the paper's Table-1 shape,
+//! - `bench-gate` — the typed checks of the committed `BENCH_*.json`
+//!   records, which the performance binaries write through [`record`].
 //!
 //! The criterion benches in `benches/` measure component and pipeline
 //! performance.
@@ -18,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod plot;
+pub mod record;
 
 use std::time::Instant;
 

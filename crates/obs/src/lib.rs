@@ -165,7 +165,7 @@ pub struct TraceRecord {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str, out: &mut String) {
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

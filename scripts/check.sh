@@ -131,16 +131,20 @@ if hits="$(grep -rEn "$pattern" crates/core/src crates/stats/src)"; then
     exit 1
 fi
 
+# The committed BENCH_*.json records are the evidence for the repo's
+# performance and scenario claims: their floors are a hard gate.
+cargo build --release -q -p sidefp-bench --bin bench-gate --bin perf
+./target/release/bench-gate
+
 if [[ "${1:-}" == "--tests" ]]; then
     cargo test --workspace -q
     # Streaming-lot smoke: a short drifted stream must keep deciding lots
     # (accept / recalibrate / refit) without panicking.
     cargo test -q -p sidefp-core --test drift_stream drifted_stream_decisions_are_reproducible
-    # Per-stage bench regression vs the committed BENCH_pipeline.json.
-    # Advisory here — wall-clock on a shared box is too noisy to block a
-    # commit on; run scripts/bench_gate.sh directly for an enforcing check.
-    if ! scripts/bench_gate.sh; then
-        echo "warning: bench_gate reported a stage regression (non-fatal in check.sh)" >&2
+    # Per-stage timing vs the committed BENCH_pipeline.json. Advisory:
+    # wall-clock on a shared host is too noisy to block a commit on.
+    if ! ./target/release/bench-gate --timing; then
+        echo "warning: bench-gate --timing reported a stage regression (non-fatal in check.sh)" >&2
     fi
 else
     # Fault-matrix smoke: the degradation pipeline must absorb every fault

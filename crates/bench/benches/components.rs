@@ -86,6 +86,22 @@ fn bench_kmm(c: &mut Criterion) {
             )
         })
     });
+    // The paper-default regime: silicon PCMs 8.4 training sd from the
+    // simulated population (seed 42), where most KMM weights sit at zero
+    // for thousands of QP iterations, over `kmm_iterations` = 12 rounds.
+    let sd = sidefp_stats::descriptive::std_dev(&train.col(0)).unwrap();
+    let mut far = gaussian(120, 1, 5);
+    for i in 0..far.nrows() {
+        far[(i, 0)] += 8.4 * sd;
+    }
+    c.bench_function("kmm_mean_shift_paper_shift", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                KernelMeanMatching::mean_shift_population(&train, &far, &KmmConfig::default(), 12)
+                    .unwrap(),
+            )
+        })
+    });
 }
 
 fn bench_mars(c: &mut Criterion) {

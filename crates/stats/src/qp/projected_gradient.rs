@@ -153,19 +153,47 @@ pub fn solve_box_band_detailed(
         }));
     }
     let n = k.nrows();
-    // Gershgorin bound on the spectral radius for the fixed step size.
-    let mut lipschitz = 0.0_f64;
-    for i in 0..n {
-        let row_sum: f64 = k.row(i).iter().map(|v| v.abs()).sum();
-        lipschitz = lipschitz.max(row_sum);
-    }
+    // Sparse gradient: while at most half of β is nonzero, `Kβ` is built
+    // from the rows of the nonzero weights only, in ascending order. For a
+    // finite, bitwise-symmetric K this adds the same nonzero terms in the
+    // same order as `matvec_into`, and every skipped term is `K_ij·0 = ±0`,
+    // which cannot change an accumulator that started at `+0.0`. The
+    // dense tail rows (`n % 4`) start their sum at `−0.0`, so a component
+    // may differ there only in the sign of an exact zero, which the update
+    // `β_i − step·g_i` erases because β never holds `−0.0`. The trajectory
+    // is therefore bit-identical. An infinite entry would make a skipped
+    // `inf·0` a NaN, and an asymmetric K would read the wrong entries, so
+    // either keeps the dense product throughout.
+    let sparse_ok = (0..n).all(|i| {
+        (0..=i).all(|j| k[(i, j)].is_finite() && k[(i, j)].to_bits() == k[(j, i)].to_bits())
+    });
     solve_box_band_core(
         n,
-        |beta, out| Ok(k.matvec_into(beta, out)?),
-        lipschitz,
+        |beta, out| {
+            let nonzero = beta.iter().filter(|b| **b != 0.0).count();
+            if !sparse_ok || 2 * nonzero > n {
+                return Ok(k.matvec_into(beta, out)?);
+            }
+            out.fill(0.0);
+            for (j, &bj) in beta.iter().enumerate() {
+                if bj != 0.0 {
+                    sidefp_linalg::vecops::axpy_mut(out, bj, k.row(j));
+                }
+            }
+            Ok(())
+        },
+        gershgorin_bound(k),
         kappa,
         config,
     )
+}
+
+/// Gershgorin bound on the spectral radius of `k` (its largest absolute
+/// row sum), which sets the dense solve's fixed step size.
+fn gershgorin_bound(k: &Matrix) -> f64 {
+    k.rows_iter()
+        .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
+        .fold(0.0, f64::max)
 }
 
 /// [`solve_box_band_detailed`] for a low-rank operator: `K = Φ Φᵀ` given
@@ -305,6 +333,158 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{descriptive, GramMatrix, Kernel, MultivariateNormal};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The reference solve: the same loop with the dense `matvec_into` on
+    /// every iteration. Also returns the first iterate with at most half
+    /// its weights nonzero, where the sparse gradient would engage.
+    fn dense_reference(
+        k: &Matrix,
+        kappa: &[f64],
+        config: &BoxBandConfig,
+    ) -> (BoxBandSolution, Option<Vec<f64>>) {
+        let mut first_sparse = None;
+        let sol = solve_box_band_core(
+            k.nrows(),
+            |beta, out| {
+                if first_sparse.is_none()
+                    && 2 * beta.iter().filter(|b| **b != 0.0).count() <= beta.len()
+                {
+                    first_sparse = Some(beta.to_vec());
+                }
+                Ok(k.matvec_into(beta, out)?)
+            },
+            gershgorin_bound(k),
+            kappa,
+            config,
+        )
+        .unwrap();
+        (sol, first_sparse)
+    }
+
+    fn solution_bits(sol: &BoxBandSolution) -> (Vec<u64>, usize, bool, u64) {
+        (
+            sol.beta.iter().map(|b| b.to_bits()).collect(),
+            sol.iterations,
+            sol.converged,
+            sol.final_delta.to_bits(),
+        )
+    }
+
+    /// Solves with `solve_box_band_detailed`, asserts the result equals the
+    /// dense reference bit for bit and returns the reference's first
+    /// sparse iterate.
+    fn assert_matches_dense(k: &Matrix, kappa: &[f64], config: &BoxBandConfig) -> Option<Vec<f64>> {
+        let got = solve_box_band_detailed(k, kappa, config).unwrap();
+        let (want, first_sparse) = dense_reference(k, kappa, config);
+        assert_eq!(solution_bits(&got), solution_bits(&want));
+        first_sparse
+    }
+
+    /// KMM's exact QP (paper Eq. 4) for 1-D standard-normal training rows
+    /// and test rows shifted by `shift` training sd: the RBF Gram, κ from
+    /// the cross-kernel row sums and KMM's default box, band and budget.
+    /// `gamma: None` takes the median heuristic over both sets, as KMM does.
+    fn kmm_problem(
+        n_train: usize,
+        shift: f64,
+        gamma: Option<f64>,
+        seed: u64,
+    ) -> (Matrix, Vec<f64>, BoxBandConfig) {
+        let n_test = n_train + n_train / 5;
+        let mvn = MultivariateNormal::independent(vec![0.0], &[1.0]).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let train = mvn.sample_matrix(&mut rng, n_train);
+        let mut test = mvn.sample_matrix(&mut rng, n_test);
+        let sd = descriptive::std_dev(&train.col(0)).unwrap();
+        for i in 0..n_test {
+            test[(i, 0)] += shift * sd;
+        }
+        let kernel = match gamma {
+            Some(gamma) => Kernel::Rbf { gamma },
+            None => Kernel::rbf_median_heuristic(&train.vstack(&test).unwrap()).unwrap(),
+        };
+        let k = GramMatrix::symmetric(kernel, &train).matrix().clone();
+        let cross = GramMatrix::cross(kernel, &train, &test).unwrap();
+        let ratio = n_train as f64 / n_test as f64;
+        let kappa = (0..n_train)
+            .map(|i| ratio * cross.row(i).iter().sum::<f64>())
+            .collect();
+        let root = (n_train as f64).sqrt();
+        let config = BoxBandConfig {
+            upper: 1000.0,
+            band: (root - 1.0) / root,
+            max_iter: 4000,
+            tol: 1e-7,
+        };
+        (k, kappa, config)
+    }
+
+    #[test]
+    fn far_shift_runs_sparse_phase_bit_identically() {
+        // 8.4 training sd is the paper-default silicon PCM shift; sizes 37,
+        // 101, 102 and 103 leave 1–3 rows past `matvec_into`'s 4-row blocks.
+        for n in [37, 100, 101, 102, 103] {
+            let (k, kappa, cfg) = kmm_problem(n, 8.4, None, 42 + n as u64);
+            let sparse = assert_matches_dense(&k, &kappa, &cfg);
+            assert!(sparse.is_some(), "n={n}: the sparse gradient never engaged");
+        }
+    }
+
+    #[test]
+    fn near_shift_stays_dense_and_bit_identical() {
+        let (k, kappa, cfg) = kmm_problem(100, 1.0, None, 7);
+        assert_eq!(assert_matches_dense(&k, &kappa, &cfg), None);
+    }
+
+    #[test]
+    fn asymmetric_kernel_falls_back_to_dense_product() {
+        let (mut k, kappa, cfg) = kmm_problem(101, 8.4, None, 3);
+        // Perturb K_ij between the second-largest (i) and largest (j)
+        // weight of the first sparse iterate, where a sparse gradient
+        // reading the mirrored K_ji would see a different operator. A 1-ulp
+        // nudge is usually absorbed by the update; doubling the entry is
+        // not.
+        let beta = assert_matches_dense(&k, &kappa, &cfg).expect("no sparse iterate");
+        let mut order: Vec<usize> = (0..beta.len()).collect();
+        order.sort_by(|&a, &b| beta[b].total_cmp(&beta[a]));
+        let (i, j) = (order[1], order[0]);
+        let entry = k[(i, j)];
+        for perturbed in [f64::from_bits(entry.to_bits() + 1), 2.0 * entry] {
+            k[(i, j)] = perturbed;
+            assert!(assert_matches_dense(&k, &kappa, &cfg).is_some());
+        }
+    }
+
+    #[test]
+    fn non_finite_kernel_falls_back_to_dense_product() {
+        let (mut k, kappa, cfg) = kmm_problem(37, 8.4, None, 5);
+        k[(3, 9)] = f64::INFINITY;
+        k[(9, 3)] = f64::INFINITY;
+        let got = solve_box_band_detailed(&k, &kappa, &cfg).unwrap();
+        assert!(got.beta.iter().any(|b| b.is_nan()));
+        assert_matches_dense(&k, &kappa, &cfg);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sparse_gradient_is_bit_identical_to_dense(
+            n in 5usize..80,
+            gamma in 0.02_f64..8.0,
+            shift in 0.0_f64..12.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let (k, kappa, cfg) = kmm_problem(n, shift, Some(gamma), seed);
+            let got = solve_box_band_detailed(&k, &kappa, &cfg).unwrap();
+            let (want, _) = dense_reference(&k, &kappa, &cfg);
+            prop_assert_eq!(solution_bits(&got), solution_bits(&want));
+        }
+    }
 
     #[test]
     fn identity_kernel_recovers_kappa_when_feasible() {

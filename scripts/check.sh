@@ -154,6 +154,10 @@ else
     # (Nyström / RFF / binned KDE) must stay inside their pinned
     # approx-vs-exact error bounds and thread-count bit-identity.
     cargo test -q -p sidefp-stats --test approx_accuracy
+    # Box-band QP smoke: the sparse-gradient solve must stay bit-identical
+    # to the dense `matvec_into` reference (beta bits, iterations,
+    # convergence flag and final delta).
+    cargo test -q -p sidefp-stats --lib qp::projected_gradient
     # Fit -> save -> load -> score smoke: the artifact codec must
     # round-trip byte-exactly and the loaded model must score
     # bit-identically to the in-process fit at any thread count.

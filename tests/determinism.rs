@@ -85,3 +85,28 @@ fn full_experiment_identical_across_thread_counts() {
     assert_eq!(single.table1, pooled.table1);
     assert_eq!(single.golden_baseline, pooled.golden_baseline);
 }
+
+/// The paper-default run's KMM weights and QP health, pinned to the bits
+/// the dense projected-gradient solve produced before the sparse gradient
+/// existed: any later change to the KMM trajectory must update them on
+/// purpose. The bit-sum is the wrapping sum of every weight's `to_bits`.
+#[test]
+fn paper_default_kmm_weights_are_pinned() {
+    let arts = PaperExperiment::new(ExperimentConfig::default())
+        .unwrap()
+        .run_with_artifacts()
+        .unwrap();
+    let bits: Vec<u64> = arts
+        .silicon
+        .kmm_weights
+        .iter()
+        .map(|w| w.to_bits())
+        .collect();
+    assert_eq!(bits.len(), 100);
+    assert_eq!(bits[0], 0x3fe9_73ac_5b2a_6071);
+    assert_eq!(bits[50], 0x3fd2_13a1_3290_b106);
+    assert_eq!(bits[99], 0x3ff3_2a24_006c_9230);
+    let sum = bits.iter().fold(0u64, |acc, b| acc.wrapping_add(*b));
+    assert_eq!(sum, 0x7995_c033_b954_acc5);
+    assert_eq!(arts.result.health.solvers.qp_nonconverged, 4);
+}

@@ -9,6 +9,8 @@
 //! Records are read with [`sidefp_bench::record`], the module the bench
 //! binaries write them with. A missing, `null` or non-numeric gated field
 //! fails, naming the file and the field; an absent file is skipped.
+//! `BENCH_seeds.json` is checked against `BENCH_scenarios.json`: both
+//! hold Table 1 at seed 42.
 //!
 //! `--timing` runs the sibling `perf --json` twice in a temporary
 //! directory and keeps each stage's faster time (load noise is
@@ -32,6 +34,9 @@ const SCENARIO_MIN: usize = 12;
 const SCALING_MIN_STAGES: usize = 5;
 
 const PAPER_CELL: &str = "power/always-on/tt/paper";
+const SEEDS_FILE: &str = "BENCH_seeds.json";
+const SCENARIOS_FILE: &str = "BENCH_scenarios.json";
+const BOUNDARIES: [&str; 5] = ["b1", "b2", "b3", "b4", "b5"];
 const POWER_DORMANT_CELL: &str = "power/dormant/tt/paper";
 const FULL_STACK_DORMANT_CELL: &str = "power+iddt+delay+spectral/dormant/tt/paper";
 
@@ -128,8 +133,7 @@ fn scenarios(r: &Value) -> Result<String, String> {
     // B5 counts of a named cell; in the paper's convention "fp" counts
     // missed Trojans and "fn" false alarms.
     let b5 = |cell: &str, key: &str| -> Result<f64, String> {
-        let found = cells.iter().find(|c| name(c).as_deref() == Some(cell));
-        let found = found.ok_or_else(|| format!("missing the cell {cell}"))?;
+        let found = named(cells, cell).ok_or_else(|| format!("missing the cell {cell}"))?;
         num(found, key).map_err(|e| format!("cell {cell}: {e}"))
     };
     let (fp, fn_) = (b5(PAPER_CELL, "b5_fp")?, b5(PAPER_CELL, "b5_fn")?);
@@ -168,6 +172,78 @@ fn scaling(r: &Value) -> Result<String, String> {
         ensure(x == 1.0, why)?;
     }
     Ok(format!("{n} stage curves, ladder opens at threads=1"))
+}
+
+/// The cell of `cells` called `name`.
+fn named<'a>(cells: &'a [Value], name: &str) -> Option<&'a Value> {
+    cells
+        .iter()
+        .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
+}
+
+/// The `sweep` record: one entry per seed in every list of every cell,
+/// `null` exactly where the run failed, no failed `paper` run, and the
+/// `paper` cell's seed-42 B1–B5 counts equal to `scenarios`' paper cell.
+fn seeds(r: &Value, scenarios: &Value) -> Result<String, String> {
+    let seeds = list(r, "seeds")?;
+    let first = seeds.first().and_then(Value::as_u64);
+    let why = format!("`seeds` opens with {first:?}, not 42");
+    ensure(first == Some(42), why)?;
+    let cells = list(r, "cells")?;
+    let mut failed = 0;
+    for (i, cell) in cells.iter().enumerate() {
+        let name = cell.get("name").and_then(Value::as_str);
+        let name = name.ok_or_else(|| format!("cell {i} has no `name`"))?;
+        let why = |e: String| format!("cell {name}: {e}");
+        let errors = list(cell, "error").map_err(why)?;
+        let Value::Object(fields) = cell else {
+            return Err(why("not an object".into()));
+        };
+        for (key, value) in fields.iter().filter(|(k, _)| k != "name") {
+            let Value::List(entries) = value else {
+                return Err(why(format!("`{key}` is not a list")));
+            };
+            let (n, of) = (entries.len(), seeds.len());
+            let short = format!("`{key}` has {n} entries for {of} seeds");
+            ensure(n == of, why(short))?;
+            if key == "error" {
+                continue;
+            }
+            for ((entry, error), seed) in entries.iter().zip(errors).zip(seeds) {
+                let (null, run_failed) = (*entry == Value::Null, error.as_str().is_some());
+                let seed = record::write(seed);
+                let (state, run) = match null {
+                    true => ("is null", "not recorded as failed"),
+                    false => ("has a value", "recorded as failed"),
+                };
+                let at = format!("`{key}` {state} at seed {}, a run {run}", seed.trim());
+                ensure(null == run_failed, why(at))?;
+            }
+        }
+        let n_failed = errors.iter().filter(|e| e.as_str().is_some()).count();
+        let paper_failed = name == "paper" && n_failed > 0;
+        ensure(!paper_failed, why(format!("{n_failed} failed runs")))?;
+        failed += n_failed;
+    }
+    let paper = named(cells, "paper").ok_or("missing the cell paper")?;
+    let table1 = named(list(scenarios, "scenarios")?, PAPER_CELL);
+    let table1 = table1.ok_or_else(|| format!("{SCENARIOS_FILE} has no cell {PAPER_CELL}"))?;
+    for b in BOUNDARIES {
+        for key in [format!("{b}_fp"), format!("{b}_fn")] {
+            let at_42 = list(paper, &key)?.first().and_then(Value::as_f64);
+            let want =
+                num(table1, &key).map_err(|e| format!("{SCENARIOS_FILE} {PAPER_CELL}: {e}"))?;
+            let why = format!(
+                "cell paper: seed-42 `{key}` {at_42:?}, but {SCENARIOS_FILE} {PAPER_CELL} has {want}"
+            );
+            ensure(at_42 == Some(want), why)?;
+        }
+    }
+    Ok(format!(
+        "{} cells x {} seeds, {failed} failed runs; paper at seed 42 is Table 1",
+        cells.len(),
+        seeds.len()
+    ))
 }
 
 /// The non-empty `stages_ms` table of a `perf --json` record.
@@ -262,10 +338,26 @@ fn timing() -> Result<Vec<String>, String> {
     Ok(failures)
 }
 
+/// The seeds check of the record at `path`, reading its Table-1
+/// reference from the `BENCH_scenarios.json` beside it.
+fn seeds_file(path: &Path) -> Result<Option<String>, String> {
+    let Some(r) = read(path)? else {
+        return Ok(None);
+    };
+    let scenarios = read(&path.with_file_name(SCENARIOS_FILE))?;
+    let scenarios = scenarios.ok_or_else(|| format!("no {SCENARIOS_FILE} to check against"))?;
+    seeds(&r, &scenarios).map(Some)
+}
+
 fn main() -> ExitCode {
     let mut failures = Vec::new();
-    for (file, check) in CHECKS {
-        match read(Path::new(file)).and_then(|r| r.map(|r| check(&r)).transpose()) {
+    let outcomes = CHECKS.map(|(file, check)| {
+        let outcome = read(Path::new(file)).and_then(|r| r.map(|r| check(&r)).transpose());
+        (file, outcome)
+    });
+    let seeds = (SEEDS_FILE, seeds_file(Path::new(SEEDS_FILE)));
+    for (file, outcome) in outcomes.into_iter().chain([seeds]) {
+        match outcome {
             Ok(Some(summary)) => println!("bench-gate: {file} OK ({summary})"),
             Ok(None) => println!("bench-gate: {file} absent, skipped"),
             Err(why) => failures.push(format!("{file}: {why}")),
@@ -288,11 +380,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn committed(file: &str) -> Value {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+    fn repo(file: &str) -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
-            .join(file);
-        read(&path).unwrap().unwrap()
+            .join(file)
+    }
+
+    fn committed(file: &str) -> Value {
+        read(&repo(file)).unwrap().unwrap()
     }
 
     /// The committed record, rewritten and then edited as text.
@@ -307,6 +402,8 @@ mod tests {
             assert_eq!(record::parse(&record::write(&record)).as_ref(), Ok(&record));
             check(&record).unwrap_or_else(|e| panic!("{file}: {e}"));
         }
+        let summary = seeds_file(&repo(SEEDS_FILE)).unwrap().unwrap();
+        assert!(summary.contains("x 16 seeds"), "{summary}");
     }
 
     // The four cases the line-regex shell gate got wrong.
@@ -361,6 +458,100 @@ mod tests {
             err.contains(PAPER_CELL) && err.contains("`b5_fn` is null"),
             "{err}"
         );
+    }
+
+    /// The committed seeds record with the first `"key": [` list of the
+    /// cell `cell` edited as text.
+    fn seeds_with(cell: &str, key: &str, edit: impl Fn(&str) -> String) -> Result<String, String> {
+        let text = record::write(&committed(SEEDS_FILE));
+        let at = text.find(&format!("\"name\": \"{cell}\"")).unwrap();
+        let open = at + text[at..].find(&format!("\"{key}\": [")).unwrap();
+        let close = open + text[open..].find(']').unwrap() + 1;
+        let edited = format!(
+            "{}{}{}",
+            &text[..open],
+            edit(&text[open..close]),
+            &text[close..]
+        );
+        seeds(&record::parse(&edited).unwrap(), &committed(SCENARIOS_FILE))
+    }
+
+    #[test]
+    fn truncated_seed_list_fails_naming_the_cell() {
+        let err = seeds_with("kde/h=0.1,alpha=0", "b4_fn", |l| {
+            let last = l.rfind(',').unwrap();
+            format!("{}]", &l[..last])
+        })
+        .unwrap_err();
+        assert!(
+            err.starts_with("cell kde/h=0.1,alpha=0: `b4_fn` has 15 entries for 16 seeds"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn null_paper_cell_count_fails_naming_the_cell() {
+        let err = seeds_with("paper", "b5_fn", |l| l.replacen("[0,", "[null,", 1)).unwrap_err();
+        assert!(
+            err.starts_with("cell paper: `b5_fn` is null at seed 42"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn value_for_a_failed_run_fails() {
+        let err = seeds_with("paper", "error", |l| l.replacen("null", "\"boom\"", 1));
+        let err = err.unwrap_err();
+        assert!(
+            err.starts_with("cell paper: `b1_fp` has a value at seed 42, a run recorded as failed"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn failed_paper_run_fails() {
+        let mut r = committed(SEEDS_FILE);
+        let Value::Object(top) = &mut r else {
+            panic!("not an object")
+        };
+        let Some((_, Value::List(cells))) = top.iter_mut().find(|(k, _)| k == "cells") else {
+            panic!("no cells list")
+        };
+        let Value::Object(paper) = &mut cells[0] else {
+            panic!("paper is not an object")
+        };
+        for (key, value) in paper.iter_mut().filter(|(k, _)| k != "name") {
+            let Value::List(entries) = value else {
+                panic!("{key} is not a list")
+            };
+            entries[0] = match key.as_str() {
+                "error" => Value::from("boom"),
+                _ => Value::Null,
+            };
+        }
+        let err = seeds(&r, &committed(SCENARIOS_FILE)).unwrap_err();
+        assert_eq!(err, "cell paper: 1 failed runs");
+    }
+
+    #[test]
+    fn mismatched_seed_42_count_fails_naming_the_cell() {
+        let err = seeds_with("paper", "b3_fn", |l| l.replacen("[15,", "[16,", 1)).unwrap_err();
+        assert!(
+            err.contains("cell paper: seed-42 `b3_fn` Some(16.0), but") && err.contains(PAPER_CELL),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn seeds_must_open_with_42() {
+        let err = seeds_with("paper", "b1_fp", |l| l.to_string());
+        assert!(err.is_ok(), "{err:?}");
+        let mut r = committed(SEEDS_FILE);
+        if let Value::Object(fields) = &mut r {
+            fields[1].1 = Value::List(vec![Value::Int(1)]);
+        }
+        let err = seeds(&r, &committed(SCENARIOS_FILE)).unwrap_err();
+        assert!(err.contains("opens with Some(1), not 42"), "{err}");
     }
 
     #[test]

@@ -159,12 +159,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     let base = if smoke {
-        ExperimentConfig {
-            chips: 10,
-            mc_samples: 40,
-            kde_samples: 1200,
-            ..Default::default()
-        }
+        sidefp_bench::smoke_sized(ExperimentConfig::default())
     } else {
         ExperimentConfig::default()
     };

@@ -6,13 +6,15 @@
 //!   certification, bootstrap CIs; writes `target/table1.md`),
 //! - `fig4` — Figure 4 (PCA projections; CSV + SVG under `target/fig4/`),
 //! - `wafermap` — spatial map of verdicts (ASCII + SVG),
-//! - `ablation_*` — parameter sweeps around the design choices,
-//! - `extension_*` — experiments beyond the paper (PCM tampering,
-//!   multi-parameter fingerprints, environment mismatch),
-//! - `diagnose` / `calibrate` — the tools used to calibrate the
-//!   synthetic fab against the paper's Table-1 shape,
+//! - `sweep` — every ablation and extension setting (foundry drift, KDE,
+//!   KMM, SVM, Monte Carlo size, PCM suite, regressor, calibration grid,
+//!   tester temperature, PCM tampering) at 16 seeds; writes
+//!   `BENCH_seeds.json`,
+//! - `scenario-matrix` — channel stacks × Trojan suites × process corners,
+//! - `diagnose` — the stage-by-stage tool used to calibrate the synthetic
+//!   fab against the paper's Table-1 shape,
 //! - `bench-gate` — the typed checks of the committed `BENCH_*.json`
-//!   records, which the performance binaries write through [`record`].
+//!   records, which the binaries write through [`record`].
 //!
 //! The criterion benches in `benches/` measure component and pipeline
 //! performance.
@@ -23,6 +25,8 @@ pub mod plot;
 pub mod record;
 
 use std::time::Instant;
+
+use sidefp_core::ExperimentConfig;
 
 /// Runs a closure, printing its wall-clock duration.
 ///
@@ -54,6 +58,18 @@ pub fn or_die<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
             eprintln!("error: {err}");
             std::process::exit(1);
         }
+    }
+}
+
+/// `config` at the reduced sizing of the `--smoke` runs (10 chips, 40
+/// Monte Carlo samples, 1,200 KDE samples): the full B1–B5 flow at a
+/// fraction of the paper-size cost.
+pub fn smoke_sized(config: ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        chips: 10,
+        mc_samples: 40,
+        kde_samples: 1200,
+        ..config
     }
 }
 

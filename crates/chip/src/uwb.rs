@@ -78,10 +78,11 @@ impl Transmission {
 /// use rand::SeedableRng;
 /// use sidefp_chip::trojan::Trojan;
 /// use sidefp_chip::uwb::UwbTransmitter;
+/// use sidefp_silicon::environment::Environment;
 /// use sidefp_silicon::params::ProcessPoint;
 ///
 /// # fn main() -> Result<(), sidefp_chip::ChipError> {
-/// let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+/// let tx = UwbTransmitter::from_process_at(&ProcessPoint::nominal(), &Environment::nominal());
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 /// let bits = vec![true; 128];
 /// let keyb = vec![false; 128];
@@ -98,12 +99,7 @@ pub struct UwbTransmitter {
 
 impl UwbTransmitter {
     /// Derives the transmitter's electrical personality from the die's
-    /// process parameters, in the nominal environment.
-    pub fn from_process(process: &ProcessPoint) -> Self {
-        Self::from_process_at(process, &Environment::nominal())
-    }
-
-    /// Builds the transmitter under explicit operating conditions
+    /// process parameters under explicit operating conditions
     /// (temperature weakens the drive; the tank is passives-only and
     /// temperature-insensitive at this fidelity).
     pub fn from_process_at(process: &ProcessPoint, env: &Environment) -> Self {
@@ -123,11 +119,6 @@ impl UwbTransmitter {
     pub fn with_amplitude_scale(mut self, factor: f64) -> Self {
         self.base_amplitude *= factor;
         self
-    }
-
-    /// Process-determined pulse frequency \[GHz\].
-    pub fn base_frequency(&self) -> f64 {
-        self.base_frequency
     }
 
     /// Transmits one 128-bit block: `bits` are the ciphertext bits (OOK),
@@ -189,16 +180,20 @@ mod tests {
         vec![true; 128]
     }
 
+    fn nominal_tx(process: &ProcessPoint) -> UwbTransmitter {
+        UwbTransmitter::from_process_at(process, &Environment::nominal())
+    }
+
     #[test]
     fn nominal_transmitter_properties() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         assert!((tx.base_amplitude() - 1.0).abs() < 1e-12);
-        assert!((tx.base_frequency() - 4.0).abs() < 1e-12);
+        assert!((tx.base_frequency - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn ook_suppresses_zero_bits() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         let mut rng = StdRng::seed_from_u64(1);
         let mut bits = vec![false; 128];
         bits[5] = true;
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn amplitude_trojan_raises_key_zero_pulses() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         let mut rng = StdRng::seed_from_u64(2);
         let mut key = vec![true; 128];
         key[..64].fill(false);
@@ -241,7 +236,7 @@ mod tests {
 
     #[test]
     fn frequency_trojan_shifts_key_zero_pulses() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         let mut rng = StdRng::seed_from_u64(3);
         let mut key = vec![true; 128];
         key[0] = false;
@@ -263,7 +258,7 @@ mod tests {
 
     #[test]
     fn clean_device_pulses_unmodulated() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         let mut rng = StdRng::seed_from_u64(4);
         let mut key = vec![true; 128];
         key[..64].fill(false);
@@ -286,14 +281,14 @@ mod tests {
         let mut weak = ProcessPoint::nominal();
         weak.set(ProcessParameter::MobilityN, 0.9);
         weak.set(ProcessParameter::VthN, 0.55);
-        let tx_weak = UwbTransmitter::from_process(&weak);
-        let tx_nom = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx_weak = nominal_tx(&weak);
+        let tx_nom = nominal_tx(&ProcessPoint::nominal());
         assert!(tx_weak.base_amplitude() < tx_nom.base_amplitude());
     }
 
     #[test]
     fn input_validation() {
-        let tx = UwbTransmitter::from_process(&ProcessPoint::nominal());
+        let tx = nominal_tx(&ProcessPoint::nominal());
         let mut rng = StdRng::seed_from_u64(5);
         assert!(tx.transmit(&[], &[], Trojan::None, &mut rng).is_err());
         assert!(tx

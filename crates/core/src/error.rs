@@ -23,6 +23,17 @@ pub enum CoreError {
         /// What made the data unusable.
         reason: String,
     },
+    /// A PCM → fingerprint regression predicted a non-finite value: the
+    /// device's PCMs lie so far outside the simulated range that the
+    /// extrapolated model (exponentiated in log space) leaves `f64`.
+    ExtrapolationOverflow {
+        /// Device row of the PCM matrix.
+        row: usize,
+        /// Fingerprint column of the prediction.
+        column: usize,
+        /// The non-finite prediction.
+        value: f64,
+    },
     /// Error from the statistics substrate.
     Stats(StatsError),
     /// Error from the synthetic fab.
@@ -44,6 +55,11 @@ impl fmt::Display for CoreError {
             CoreError::DataQuality { reason } => {
                 write!(f, "data quality failure: {reason}")
             }
+            CoreError::ExtrapolationOverflow { row, column, value } => write!(
+                f,
+                "regression extrapolation overflow: device row {row}, fingerprint column \
+                 {column} predicts {value}"
+            ),
             CoreError::Stats(e) => write!(f, "statistics error: {e}"),
             CoreError::Silicon(e) => write!(f, "silicon error: {e}"),
             CoreError::Chip(e) => write!(f, "chip error: {e}"),
@@ -61,7 +77,9 @@ impl Error for CoreError {
             CoreError::Chip(e) => Some(e),
             CoreError::Faults(e) => Some(e),
             CoreError::Artifact(e) => Some(e),
-            CoreError::InvalidConfig { .. } | CoreError::DataQuality { .. } => None,
+            CoreError::InvalidConfig { .. }
+            | CoreError::DataQuality { .. }
+            | CoreError::ExtrapolationOverflow { .. } => None,
         }
     }
 }

@@ -40,7 +40,7 @@ pub struct PaperExperiment {
 }
 
 /// Everything a run produces beyond the summary: stages are exposed so
-/// ablation benches can reuse expensive intermediates.
+/// the `sweep` bench can read the DUTT PCMs behind its SPC check.
 #[derive(Debug)]
 pub struct RunArtifacts {
     /// Stage-1 products (S1, S2, regressions, B1, B2).

@@ -176,7 +176,6 @@ impl RunHealth {
         let s = &self.solvers;
         for (label, n) in [
             ("cholesky ridge retries", s.cholesky_retries),
-            ("lu ridge retries      ", s.lu_retries),
             ("smo relaxed accepts   ", s.smo_relaxed),
             ("smo non-converged     ", s.smo_nonconverged),
             ("qp relaxed accepts    ", s.qp_relaxed),

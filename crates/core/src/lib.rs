@@ -52,7 +52,6 @@ pub mod scenario;
 pub mod score;
 pub mod spc;
 pub mod stages;
-pub mod tuning;
 
 pub use artifact::{ArtifactError, FittedModel, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use boundary::TrustedBoundary;

@@ -248,12 +248,17 @@ impl FingerprintPredictor {
     ///
     /// # Errors
     ///
-    /// Propagates prediction errors.
+    /// - [`CoreError::ExtrapolationOverflow`] for the first non-finite
+    ///   prediction, naming its device row and fingerprint column.
+    /// - Propagated prediction errors.
     pub fn predict_rows(&self, pcms: &Matrix) -> Result<Matrix, CoreError> {
         let mut out = Matrix::zeros(pcms.nrows(), self.output_dim());
-        for (i, row) in pcms.rows_iter().enumerate() {
-            let pred = self.predict(row)?;
-            out.row_mut(i).copy_from_slice(&pred);
+        for (row, pcm) in pcms.rows_iter().enumerate() {
+            let pred = self.predict(pcm)?;
+            if let Some((column, &value)) = pred.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+                return Err(CoreError::ExtrapolationOverflow { row, column, value });
+            }
+            out.row_mut(row).copy_from_slice(&pred);
         }
         Ok(out)
     }
@@ -311,6 +316,35 @@ mod tests {
         let pcms = Matrix::zeros(5, 1);
         let fps = Matrix::zeros(6, 2);
         assert!(FingerprintPredictor::fit(&pcms, &fps, &RegressorKind::default()).is_err());
+    }
+
+    #[test]
+    fn overflowing_extrapolation_is_a_typed_error() {
+        // Log space, steep power law fitted on PCMs in [1, 2]: at PCM 1e6 the
+        // log-space prediction is far beyond ln(f64::MAX) ≈ 709.
+        let pcms = Matrix::from_fn(40, 1, |i, _| 1.0 + i as f64 / 39.0);
+        let fps = Matrix::from_fn(40, 2, |i, j| pcms[(i, 0)].powi(60 * j as i32 + 1));
+        let bank = FingerprintPredictor::fit_in_space_observed(
+            &pcms,
+            &fps,
+            &RegressorKind::default(),
+            RegressionSpace::Log,
+            &sidefp_obs::RunContext::new(),
+        )
+        .unwrap();
+        let far = Matrix::from_rows(&[&[1.5], &[1e6]]).unwrap();
+        let err = bank.predict_rows(&far).unwrap_err();
+        let &CoreError::ExtrapolationOverflow { row, column, value } = &err else {
+            panic!("{err:?}")
+        };
+        assert_eq!((row, column, value), (1, 1, f64::INFINITY));
+        let text = err.to_string();
+        assert!(
+            text.contains("regression extrapolation overflow")
+                && text.contains("device row 1, fingerprint column 1"),
+            "{text}"
+        );
+        assert!(bank.predict_rows(&pcms).is_ok());
     }
 
     #[test]

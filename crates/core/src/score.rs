@@ -105,12 +105,6 @@ impl BatchScorer {
         &self.boundaries
     }
 
-    /// Batches scored so far (drives the `batch` index of the
-    /// [`TraceEvent::BatchScored`] events).
-    pub fn batches_scored(&self) -> usize {
-        self.batches_scored
-    }
-
     /// Scores one raw batch: sanitizes with the artifact's *pinned*
     /// repair targets and winsorization bounds (quarantine and dedup are
     /// identical to the fit pipeline's measurement stage; repairs land on
@@ -297,7 +291,6 @@ mod tests {
             let (fps, pcms) = model.synthesize_batch(s, 16);
             scorer.score_batch(&fps, &pcms, &ctx).unwrap();
         }
-        assert_eq!(scorer.batches_scored(), 3);
         let batches: Vec<usize> = ctx
             .trace_events()
             .iter()

@@ -59,8 +59,6 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct SolverHealth {
     /// Cholesky factorizations that needed ridge-jitter escalation.
     pub cholesky_retries: usize,
-    /// LU factorizations that needed ridge-jitter escalation.
-    pub lu_retries: usize,
     /// SMO runs accepted under the relaxed (100×) KKT tolerance.
     pub smo_relaxed: usize,
     /// SMO runs that missed even the relaxed tolerance (best-effort used).
@@ -82,7 +80,6 @@ impl SolverHealth {
     /// Total number of rescue events.
     pub fn total(&self) -> usize {
         self.cholesky_retries
-            + self.lu_retries
             + self.smo_relaxed
             + self.smo_nonconverged
             + self.qp_relaxed
@@ -256,7 +253,6 @@ impl TraceRecord {
 #[derive(Default)]
 struct Counters {
     cholesky_retries: AtomicUsize,
-    lu_retries: AtomicUsize,
     smo_relaxed: AtomicUsize,
     smo_nonconverged: AtomicUsize,
     qp_relaxed: AtomicUsize,
@@ -368,7 +364,6 @@ impl RunContext {
         let c = &self.inner.counters;
         for counter in [
             &c.cholesky_retries,
-            &c.lu_retries,
             &c.smo_relaxed,
             &c.smo_nonconverged,
             &c.qp_relaxed,
@@ -391,14 +386,6 @@ impl RunContext {
         self.inner
             .counters
             .cholesky_retries
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` ridge-escalation retries of an LU factorization.
-    pub fn record_lu_retries(&self, n: usize) {
-        self.inner
-            .counters
-            .lu_retries
             .fetch_add(n, Ordering::Relaxed);
     }
 
@@ -448,7 +435,6 @@ impl RunContext {
         let c = &self.inner.counters;
         SolverHealth {
             cholesky_retries: c.cholesky_retries.load(Ordering::Relaxed),
-            lu_retries: c.lu_retries.load(Ordering::Relaxed),
             smo_relaxed: c.smo_relaxed.load(Ordering::Relaxed),
             smo_nonconverged: c.smo_nonconverged.load(Ordering::Relaxed),
             qp_relaxed: c.qp_relaxed.load(Ordering::Relaxed),
@@ -585,7 +571,6 @@ mod tests {
         let ctx = RunContext::new();
         assert!(ctx.solver_health().is_clean());
         ctx.record_cholesky_retries(2);
-        ctx.record_lu_retries(1);
         ctx.record_smo_relaxed();
         ctx.record_smo_nonconverged();
         ctx.record_qp_relaxed();
@@ -593,13 +578,12 @@ mod tests {
         ctx.record_kde_pilot_floors(3);
         let health = ctx.solver_health();
         assert_eq!(health.cholesky_retries, 2);
-        assert_eq!(health.lu_retries, 1);
         assert_eq!(health.smo_relaxed, 1);
         assert_eq!(health.smo_nonconverged, 1);
         assert_eq!(health.qp_relaxed, 1);
         assert_eq!(health.qp_nonconverged, 1);
         assert_eq!(health.kde_pilot_floors, 3);
-        assert_eq!(health.total(), 10);
+        assert_eq!(health.total(), 9);
         assert!(!health.is_clean());
     }
 

@@ -31,10 +31,8 @@
 
 mod adaptive;
 mod binned;
-mod classifier;
 mod kernel;
 
 pub use adaptive::{AdaptiveKde, KdeConfig};
 pub use binned::BinnedKde;
-pub use classifier::DensityClassifier;
 pub use kernel::Epanechnikov;

@@ -4,7 +4,7 @@
 //! A purely local model: predicts the inverse-distance-weighted mean of the
 //! `k` nearest training targets. It needs no training beyond storing the
 //! data, making it a useful "no structural assumptions" contrast to MARS and
-//! polynomial ridge in the `ablation_regressor` bench.
+//! polynomial ridge in the `regressor/*` cells of the `sweep` bench.
 
 use sidefp_linalg::{vecops, Matrix};
 

@@ -24,13 +24,6 @@ pub struct MmdTest {
     pub permutations: usize,
 }
 
-impl MmdTest {
-    /// `true` if the null "same distribution" is rejected at `alpha`.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Biased squared-MMD V-statistic between rows `a_idx` and `b_idx` of a
 /// precomputed joint Gram matrix.
 fn mmd_sq(gram: &GramMatrix, a_idx: &[usize], b_idx: &[usize]) -> f64 {
@@ -65,7 +58,7 @@ fn mmd_sq(gram: &GramMatrix, a_idx: &[usize], b_idx: &[usize]) -> f64 {
 /// let a = Matrix::from_fn(30, 1, |i, _| (i % 10) as f64 * 0.1);
 /// let b = Matrix::from_fn(30, 1, |i, _| (i % 10) as f64 * 0.1 + 5.0);
 /// let test = mmd_permutation_test(&a, &b, None, 200, 7)?;
-/// assert!(test.rejects_at(0.05)); // shifted by 5: clearly different
+/// assert!(test.p_value < 0.05); // shifted by 5: clearly different
 /// # Ok(())
 /// # }
 /// ```
@@ -158,7 +151,7 @@ mod tests {
         let b = blob(0.0, 40, 2);
         let test = mmd_permutation_test(&a, &b, None, 200, 3).unwrap();
         assert!(
-            !test.rejects_at(0.01),
+            test.p_value >= 0.01,
             "same-distribution p-value {}",
             test.p_value
         );
@@ -169,7 +162,7 @@ mod tests {
         let a = blob(0.0, 40, 4);
         let b = blob(2.0, 40, 5);
         let test = mmd_permutation_test(&a, &b, None, 200, 6).unwrap();
-        assert!(test.rejects_at(0.01), "p-value {}", test.p_value);
+        assert!(test.p_value < 0.01, "p-value {}", test.p_value);
         assert!(test.statistic > 0.0);
     }
 
@@ -180,7 +173,7 @@ mod tests {
         let a = blob(0.0, 50, 8);
         let b = mvn_wide.sample_matrix(&mut rng, 50);
         let test = mmd_permutation_test(&a, &b, None, 200, 9).unwrap();
-        assert!(test.rejects_at(0.05), "p-value {}", test.p_value);
+        assert!(test.p_value < 0.05, "p-value {}", test.p_value);
     }
 
     #[test]

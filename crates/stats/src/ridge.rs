@@ -1,9 +1,9 @@
 //! Polynomial ridge regression — an ablation baseline for MARS.
 //!
 //! Expands inputs into polynomial features (all monomials up to a given
-//! total degree) and solves the L2-regularized normal equations. Used by the
-//! `ablation_regressor` bench to quantify how much the paper's MARS choice
-//! matters versus a simpler global polynomial.
+//! total degree) and solves the L2-regularized normal equations. The
+//! `regressor/*` cells of the `sweep` bench use it to quantify how much the
+//! paper's MARS choice matters versus a simpler global polynomial.
 
 use sidefp_linalg::Matrix;
 

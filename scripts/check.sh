@@ -165,6 +165,9 @@ else
     # Scenario-matrix smoke: a reduced grid (<= 4 cells) through the full
     # B1-B5 flow; catches a channel/Trojan/corner wiring break without
     # paying for the committed full-size matrix.
-    cargo build --release -q -p sidefp-bench --bin scenario-matrix
+    cargo build --release -q -p sidefp-bench --bin scenario-matrix --bin sweep
     ./target/release/scenario-matrix --smoke >/dev/null
+    # Seed-sweep smoke: 3 cells x 4 seeds at the same reduced sizing; the
+    # paper cell must finish at every seed. Writes no record.
+    ./target/release/sweep --smoke >/dev/null
 fi

@@ -43,7 +43,7 @@ fn untampered_lot_passes_paired_spc() {
 fn three_percent_tamper_fires_paired_spc() {
     // At this reduced lot size (45 devices) the die↔kerf local mismatch
     // sets the detection floor around 2-3 %; the full-size experiment
-    // (extension_pcm_attack) resolves 1 %.
+    // (the `tamper/0.99` cell of the `sweep` bench) resolves 1 %.
     for seed in [1, 2, 3] {
         let report = run(PcmTamper::on_kind(PcmKind::PathDelay, 0.97), seed);
         assert!(

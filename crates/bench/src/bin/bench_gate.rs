@@ -2,36 +2,25 @@
 //! behind the repo's performance and scenario claims.
 //!
 //! ```text
-//! bench-gate            # check each BENCH_*.json in the working directory
-//! bench-gate --timing   # and time two fresh `perf --json` runs against BENCH_pipeline.json
+//! bench-gate   # check the BENCH_*.json records in the working directory
 //! ```
 //!
 //! Records are read with [`sidefp_bench::record`], the module the bench
-//! binaries write them with. A missing, `null` or non-numeric gated field
-//! fails, naming the file and the field; an absent file is skipped.
+//! binaries write them with. A missing file, or a missing, `null` or
+//! non-numeric gated field, fails, naming the file and the field.
 //! `BENCH_seeds.json` is checked against `BENCH_scenarios.json`: both
 //! hold Table 1 at seed 42.
-//!
-//! `--timing` runs the sibling `perf --json` twice in a temporary
-//! directory and keeps each stage's faster time (load noise is
-//! one-sided). Stages are compared by their *share* of the summed stage
-//! time, so uniform background load cancels out: a share more than 15%
-//! above the baseline fails, baseline stages under 1 ms are reported but
-//! not gated, and a stage timed on one side only fails. Wall-clock on a
-//! shared host is noisy, so `scripts/check.sh` runs `--timing` as advice.
 
 use std::path::Path;
-use std::process::{Command, ExitCode, Stdio};
+use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 
-const REGRESSION_PCT: f64 = 15.0;
-const MIN_STAGE_MS: f64 = 1.0;
 const KERNEL_SPEEDUP_FLOOR: f64 = 5.0;
 const DRIFT_RATIO_FLOOR: f64 = 3.0;
 const AMORTIZATION_FLOOR: f64 = 100.0;
 const SCENARIO_MIN: usize = 12;
-const SCALING_MIN_STAGES: usize = 5;
 
 const PAPER_CELL: &str = "power/always-on/tt/paper";
 const SEEDS_FILE: &str = "BENCH_seeds.json";
@@ -43,15 +32,11 @@ const FULL_STACK_DORMANT_CELL: &str = "power+iddt+delay+spectral/dormant/tt/pape
 /// One check per record: a summary if the record holds, else why not.
 type Check = fn(&Value) -> Result<String, String>;
 
-const CHECKS: [(&str, Check); 6] = [
+const CHECKS: [(&str, Check); 4] = [
     ("BENCH_kernels.json", kernels),
     ("BENCH_drift.json", drift),
     ("BENCH_throughput.json", throughput),
     ("BENCH_scenarios.json", scenarios),
-    ("BENCH_scaling.json", scaling),
-    ("BENCH_pipeline.json", |r| {
-        Ok(format!("{} stages", stages(r)?.len()))
-    }),
 ];
 
 fn ensure(holds: bool, why: String) -> Result<(), String> {
@@ -72,13 +57,6 @@ fn list<'a>(r: &'a Value, key: &str) -> Result<&'a [Value], String> {
     match field(r, key)? {
         Value::List(items) => Ok(items),
         _ => Err(format!("`{key}` is not a list")),
-    }
-}
-
-fn object<'a>(r: &'a Value, key: &str) -> Result<&'a [(String, Value)], String> {
-    match field(r, key)? {
-        Value::Object(fields) => Ok(fields),
-        _ => Err(format!("`{key}` is not an object")),
     }
 }
 
@@ -153,27 +131,6 @@ fn scenarios(r: &Value) -> Result<String, String> {
     ))
 }
 
-fn scaling(r: &Value) -> Result<String, String> {
-    let opening = |r: &Value, key: &str| {
-        let first = list(r, key)?.first().and_then(Value::as_f64);
-        first.ok_or_else(|| format!("`{key}` does not open with a number"))
-    };
-    let threads = opening(r, "thread_counts")?;
-    ensure(threads == 1.0, format!("ladder opens at threads={threads}"))?;
-    let total = opening(r, "total_speedup")?;
-    ensure(total == 1.0, format!("total speedup opens at {total}"))?;
-    let curves = field(r, "stages_speedup")?;
-    let n = object(r, "stages_speedup")?.len();
-    let why = format!("{n} stage curves, need {SCALING_MIN_STAGES}");
-    ensure(n >= SCALING_MIN_STAGES, why)?;
-    for (stage, _) in object(r, "stages_speedup")? {
-        let x = opening(curves, stage)?;
-        let why = format!("`{stage}` opens at {x}: the threads=1 reference drifted");
-        ensure(x == 1.0, why)?;
-    }
-    Ok(format!("{n} stage curves, ladder opens at threads=1"))
-}
-
 /// The cell of `cells` called `name`.
 fn named<'a>(cells: &'a [Value], name: &str) -> Option<&'a Value> {
     cells
@@ -246,130 +203,49 @@ fn seeds(r: &Value, scenarios: &Value) -> Result<String, String> {
     ))
 }
 
-/// The non-empty `stages_ms` table of a `perf --json` record.
-fn stages(r: &Value) -> Result<Vec<(String, f64)>, String> {
-    let table = field(r, "stages_ms")?;
-    let names = object(r, "stages_ms")?;
-    ensure(!names.is_empty(), "`stages_ms` is empty".into())?;
-    let stage = |name: &String| Ok::<_, String>((name.clone(), num(table, name)?));
-    names.iter().map(|(name, _)| stage(name)).collect()
-}
-
-/// Report lines and failures of two fresh stage tables against the
-/// baseline.
-fn compare_timing<'a>(
-    base: &'a [(String, f64)],
-    run1: &'a [(String, f64)],
-    run2: &[(String, f64)],
-) -> (Vec<String>, Vec<String>) {
-    let ms = |run: &[(String, f64)], name: &str| run.iter().find(|s| s.0 == name).map(|s| s.1);
-    // A stage is freshly timed if both runs timed it, at its faster time.
-    let now = |name: &str| Some(ms(run1, name)?.min(ms(run2, name)?));
-    let name = |s: &'a (String, f64)| s.0.as_str();
-    let missing = base.iter().filter(|s| now(&s.0).is_none());
-    let missing: Vec<&str> = missing.map(name).collect();
-    let extra = run1
-        .iter()
-        .filter(|s| now(&s.0).is_some() && ms(base, &s.0).is_none());
-    let extra: Vec<&str> = extra.map(name).collect();
-    let mut failures = Vec::new();
-    for (why, stages) in [
-        ("not timed by both runs", missing),
-        ("not in the baseline", extra),
-    ] {
-        if !stages.is_empty() {
-            failures.push(format!("stages {why}: {}", stages.join(", ")));
-        }
-    }
-    let paired = base.iter().filter(|s| s.1 > 0.0);
-    let paired: Vec<_> = paired.filter_map(|(n, b)| Some((n, *b, now(n)?))).collect();
-    let load = paired.iter().map(|p| p.2).sum::<f64>() / paired.iter().map(|p| p.1).sum::<f64>();
-    let mut lines = vec![format!("load factor {load:.2}x (not gated)")];
-    for (name, base_ms, now_ms) in paired {
-        let share = (now_ms / (base_ms * load) - 1.0) * 100.0;
-        let gated = base_ms >= MIN_STAGE_MS;
-        let note = if gated { "" } else { "  (not gated)" };
-        lines.push(format!(
-            "{name:<20} base {base_ms:8.2} ms  now {now_ms:8.2} ms  {share:+6.1}% of share{note}"
-        ));
-        if gated && share > REGRESSION_PCT {
-            failures.push(format!("{name} share {share:+.1}% > +{REGRESSION_PCT}%"));
-        }
-    }
-    (lines, failures)
-}
-
-/// The parsed record at `path`, or `None` if there is no such file.
-fn read(path: &Path) -> Result<Option<Value>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => record::parse(&text).map(Some).map_err(|e| e.to_string()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// `--timing`: the failures of two fresh `perf --json` runs against the
-/// committed baseline.
-fn timing() -> Result<Vec<String>, String> {
-    let Some(base) = read(Path::new("BENCH_pipeline.json"))? else {
-        return Ok(Vec::new());
-    };
-    let perf = std::env::current_exe().map_err(|e| e.to_string())?;
-    let perf = perf.with_file_name("perf");
-    let dir = std::env::temp_dir().join(format!("bench-gate-{}", std::process::id()));
-    let run = |i: usize| -> Result<Vec<(String, f64)>, String> {
-        println!("bench-gate: timing run {i}/2");
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let mut cmd = Command::new(&perf);
-        let status = cmd
-            .arg("--json")
-            .current_dir(&dir)
-            .stdout(Stdio::null())
-            .status();
-        let status = status.map_err(|e| format!("cannot run {}: {e}", perf.display()))?;
-        ensure(status.success(), format!("perf --json failed: {status}"))?;
-        let fresh = read(&dir.join("BENCH_pipeline.json"))?;
-        stages(&fresh.ok_or("perf --json wrote no BENCH_pipeline.json")?)
-    };
-    let runs = (run(1), run(2));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (lines, failures) = compare_timing(&stages(&base)?, &runs.0?, &runs.1?);
-    lines.iter().for_each(|line| println!("  {line}"));
-    Ok(failures)
+/// The parsed record at `path`.
+fn read(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => "missing".to_string(),
+        _ => e.to_string(),
+    })?;
+    record::parse(&text).map_err(|e| e.to_string())
 }
 
 /// The seeds check of the record at `path`, reading its Table-1
 /// reference from the `BENCH_scenarios.json` beside it.
-fn seeds_file(path: &Path) -> Result<Option<String>, String> {
-    let Some(r) = read(path)? else {
-        return Ok(None);
-    };
-    let scenarios = read(&path.with_file_name(SCENARIOS_FILE))?;
-    let scenarios = scenarios.ok_or_else(|| format!("no {SCENARIOS_FILE} to check against"))?;
-    seeds(&r, &scenarios).map(Some)
+fn seeds_file(path: &Path) -> Result<String, String> {
+    let r = read(path)?;
+    let scenarios = read(&path.with_file_name(SCENARIOS_FILE))
+        .map_err(|e| format!("{SCENARIOS_FILE} to check against: {e}"))?;
+    seeds(&r, &scenarios)
+}
+
+/// Every required record in `dir` with its summary, or why it fails.
+fn check_all(dir: &Path) -> Vec<(&'static str, Result<String, String>)> {
+    let checked = CHECKS.map(|(file, check)| (file, read(&dir.join(file)).and_then(|r| check(&r))));
+    let seeds = (SEEDS_FILE, seeds_file(&dir.join(SEEDS_FILE)));
+    checked.into_iter().chain([seeds]).collect()
 }
 
 fn main() -> ExitCode {
-    let mut failures = Vec::new();
-    let outcomes = CHECKS.map(|(file, check)| {
-        let outcome = read(Path::new(file)).and_then(|r| r.map(|r| check(&r)).transpose());
-        (file, outcome)
+    Args::from_env(&Spec {
+        usage: "bench-gate",
+        switches: &[],
+        options: &[],
+        positional: (0, Kind::Text),
     });
-    let seeds = (SEEDS_FILE, seeds_file(Path::new(SEEDS_FILE)));
-    for (file, outcome) in outcomes.into_iter().chain([seeds]) {
+    let mut failed = false;
+    for (file, outcome) in check_all(Path::new(".")) {
         match outcome {
-            Ok(Some(summary)) => println!("bench-gate: {file} OK ({summary})"),
-            Ok(None) => println!("bench-gate: {file} absent, skipped"),
-            Err(why) => failures.push(format!("{file}: {why}")),
+            Ok(summary) => println!("bench-gate: {file} OK ({summary})"),
+            Err(why) => {
+                println!("bench-gate: FAIL — {file}: {why}");
+                failed = true;
+            }
         }
     }
-    if failures.is_empty() && std::env::args().any(|a| a == "--timing") {
-        failures = timing().unwrap_or_else(|why| vec![format!("timing: {why}")]);
-    }
-    for failure in &failures {
-        println!("bench-gate: FAIL — {failure}");
-    }
-    if !failures.is_empty() {
+    if failed {
         return ExitCode::FAILURE;
     }
     println!("bench-gate: OK");
@@ -380,14 +256,12 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn repo(file: &str) -> std::path::PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(file)
+    fn repo() -> &'static Path {
+        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
     }
 
     fn committed(file: &str) -> Value {
-        read(&repo(file)).unwrap().unwrap()
+        read(&repo().join(file)).unwrap()
     }
 
     /// The committed record, rewritten and then edited as text.
@@ -397,13 +271,48 @@ mod tests {
 
     #[test]
     fn every_committed_record_parses_and_passes_its_check() {
-        for (file, check) in CHECKS {
+        for (file, _) in CHECKS {
             let record = committed(file);
             assert_eq!(record::parse(&record::write(&record)).as_ref(), Ok(&record));
-            check(&record).unwrap_or_else(|e| panic!("{file}: {e}"));
         }
-        let summary = seeds_file(&repo(SEEDS_FILE)).unwrap().unwrap();
-        assert!(summary.contains("x 16 seeds"), "{summary}");
+        let outcomes = check_all(repo());
+        assert_eq!(outcomes.len(), CHECKS.len() + 1);
+        for (file, outcome) in outcomes {
+            let summary = outcome.unwrap_or_else(|e| panic!("{file}: {e}"));
+            if file == SEEDS_FILE {
+                assert!(summary.contains("x 16 seeds"), "{summary}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_record_fails_naming_the_file() {
+        let dir = std::env::temp_dir().join(format!("bench-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = CHECKS.map(|(file, _)| file);
+        for file in files.iter().chain([&SEEDS_FILE]) {
+            std::fs::copy(repo().join(file), dir.join(file)).unwrap();
+        }
+        for missing in files.iter().chain([&SEEDS_FILE]) {
+            std::fs::remove_file(dir.join(missing)).unwrap();
+            let failed: Vec<_> = check_all(&dir)
+                .into_iter()
+                .filter_map(|(file, outcome)| Some((file, outcome.err()?)))
+                .collect();
+            let want = (*missing, "missing".to_string());
+            // Without its Table-1 reference the seeds record fails too.
+            let seeds = (
+                SEEDS_FILE,
+                format!("{SCENARIOS_FILE} to check against: missing"),
+            );
+            let expected = match *missing {
+                SCENARIOS_FILE => vec![want, seeds],
+                _ => vec![want],
+            };
+            assert_eq!(failed, expected);
+            std::fs::copy(repo().join(missing), dir.join(missing)).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // The four cases the line-regex shell gate got wrong.
@@ -564,91 +473,7 @@ mod tests {
         );
         let r = edited("BENCH_throughput.json", |t| t.replace("906.8", "99.0"));
         assert!(throughput(&r).is_err());
-        let r = edited("BENCH_scaling.json", |t| {
-            t.replacen("\"kmm\": [1.0]", "\"kmm\": [0.9]", 1)
-        });
-        assert!(scaling(&r).unwrap_err().contains("kmm"));
         let r = edited("BENCH_kernels.json", |t| t.replace("406.56", "600.0"));
         assert!(kernels(&r).unwrap_err().contains("rff"));
-    }
-
-    fn stages(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
-        pairs.iter().map(|(n, ms)| (n.to_string(), *ms)).collect()
-    }
-
-    const BASE: [(&str, f64); 4] = [
-        ("kmm", 20.0),
-        ("boundary.B5", 10.0),
-        ("regression", 10.0),
-        ("evaluate", 0.1),
-    ];
-
-    fn compare(run1: &[(&str, f64)], run2: &[(&str, f64)]) -> (Vec<String>, Vec<String>) {
-        compare_timing(&stages(&BASE), &stages(run1), &stages(run2))
-    }
-
-    #[test]
-    fn uniform_load_passes() {
-        let doubled = BASE.map(|(n, ms)| (n, ms * 2.0));
-        let (lines, failures) = compare(&doubled, &doubled);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(lines[0].contains("load factor 2.00x"), "{lines:?}");
-        assert!(
-            lines[1..].iter().all(|l| l.contains(" +0.0% of share")),
-            "{lines:?}"
-        );
-    }
-
-    #[test]
-    fn one_stage_growing_its_share_fails() {
-        let mut slow = BASE;
-        slow[1].1 = 15.0;
-        let (lines, failures) = compare(&slow, &slow);
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("boundary.B5") && l.contains("+33.")));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].starts_with("boundary.B5 share +33."),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn the_faster_of_two_runs_counts() {
-        let mut noisy = BASE;
-        noisy[1].1 = 40.0;
-        assert!(compare(&noisy, &BASE).1.is_empty());
-    }
-
-    #[test]
-    fn stage_set_drift_fails_both_ways() {
-        let (_, failures) = compare(&BASE[..3], &BASE[..3]);
-        assert_eq!(failures.len(), 1);
-        assert!(
-            failures[0].contains("not timed by both runs: evaluate"),
-            "{failures:?}"
-        );
-        let mut more = BASE.to_vec();
-        more.push(("score.sanitize", 3.0));
-        let (_, failures) = compare(&more, &more);
-        assert_eq!(failures.len(), 1);
-        assert!(
-            failures[0].contains("not in the baseline: score.sanitize"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn sub_millisecond_stages_are_reported_not_gated() {
-        let mut jitter = BASE;
-        jitter[3].1 = 0.5;
-        let (lines, failures) = compare(&jitter, &jitter);
-        assert!(failures.is_empty(), "{failures:?}");
-        let evaluate = lines.iter().find(|l| l.starts_with("evaluate")).unwrap();
-        assert!(
-            evaluate.ends_with("(not gated)") && evaluate.contains("+395."),
-            "{evaluate}"
-        );
     }
 }

@@ -4,6 +4,7 @@
 
 use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::or_die;
 use sidefp_core::{ExperimentConfig, PaperExperiment};
 use sidefp_stats::descriptive;
@@ -24,9 +25,15 @@ fn col_stats(name: &str, m: &sidefp_linalg::Matrix) {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse::<u64>().ok())
+    let args = Args::from_env(&Spec {
+        usage: "diagnose [seed]",
+        switches: &[],
+        options: &[],
+        positional: (1, Kind::Number),
+    });
+    let seed = args
+        .numbers()
+        .next()
         .unwrap_or(ExperimentConfig::default().seed);
     let config = ExperimentConfig {
         seed,

@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 use sidefp_core::{ExperimentConfig, PaperExperiment, RecalHealth};
 use sidefp_faults::{DriftClass, DriftPlan};
@@ -93,7 +94,13 @@ fn run_policy(refit_limit: f64, span_key: &str) -> Result<PolicyReport, sidefp_c
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = Args::from_env(&Spec {
+        usage: "drift [--json]",
+        switches: &["--json"],
+        options: &[],
+        positional: (0, Kind::Text),
+    })
+    .switch("--json");
 
     eprintln!("streaming {} drifted lots under each policy ...", LOTS + 1);
     let incremental = run_policy(1e6, "recalibrate.incremental")?;

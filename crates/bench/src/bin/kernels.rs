@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::or_die;
 use sidefp_bench::record::{self, Value};
 use sidefp_linalg::Matrix;
@@ -174,11 +175,17 @@ fn bench_size(n: usize, reps: usize) -> Result<SizeReport, Box<dyn std::error::E
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let json = std::env::args().any(|a| a == "--json");
+    let args = Args::from_env(&Spec {
+        usage: "kernels [--json] [n ...]",
+        switches: &["--json"],
+        options: &[],
+        positional: (usize::MAX, Kind::Number),
+    });
+    let json = args.switch("--json");
     // Bare numeric args override the default size sweep (handy for quick
     // single-size runs while tuning); the committed BENCH_kernels.json is
     // always produced from the full default sweep.
-    let mut sizes: Vec<usize> = std::env::args().filter_map(|a| a.parse().ok()).collect();
+    let mut sizes: Vec<usize> = args.numbers().map(|n| n as usize).collect();
     if sizes.is_empty() {
         sizes = vec![1_000, 10_000, 50_000];
     }

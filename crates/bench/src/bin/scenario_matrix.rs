@@ -23,6 +23,7 @@
 
 use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 use sidefp_chip::trojan::TrojanSuite;
 use sidefp_core::scenario::{channel_sets, Scenario, ScenarioOutcome};
@@ -155,8 +156,13 @@ fn bench_record(base_seed: u64, outcomes: &[ScenarioOutcome]) -> Value {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let json = std::env::args().any(|a| a == "--json");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args = Args::from_env(&Spec {
+        usage: "scenario-matrix [--json] [--smoke]",
+        switches: &["--json", "--smoke"],
+        options: &[],
+        positional: (0, Kind::Text),
+    });
+    let (json, smoke) = (args.switch("--json"), args.switch("--smoke"));
 
     let base = if smoke {
         sidefp_bench::smoke_sized(ExperimentConfig::default())

@@ -26,6 +26,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_core::{BatchScorer, ExperimentConfig, FittedModel, RunContext, TraceEvent};
 use sidefp_parallel::{fork_seed, map_indexed, with_threads};
 
@@ -50,26 +51,29 @@ struct BatchReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let parse = |name: &str, default: usize| -> usize {
-        flag(name).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let artifact = flag("--artifact")
-        .cloned()
-        .unwrap_or_else(|| "fitted_model.sfpa".into());
-    let batches = parse("--batches", 6);
-    let batch_size = parse("--batch-size", 5_000);
-    let threads = parse("--threads", 1);
-    let seed = parse("--seed", 7) as u64;
+    let args = Args::from_env(&Spec {
+        usage:
+            "score-server [--artifact PATH] [--batches N] [--batch-size N] [--threads N] [--seed S]",
+        switches: &[],
+        options: &[
+            ("--artifact", Kind::Text),
+            ("--batches", Kind::Number),
+            ("--batch-size", Kind::Number),
+            ("--threads", Kind::Number),
+            ("--seed", Kind::Number),
+        ],
+        positional: (0, Kind::Text),
+    });
+    let artifact = args.text("--artifact").unwrap_or("fitted_model.sfpa");
+    let count = |name, default| args.number(name).map_or(default, |n| n as usize);
+    let batches = count("--batches", 6);
+    let batch_size = count("--batch-size", 5_000);
+    let threads = count("--threads", 1);
+    let seed = args.number("--seed").unwrap_or(7);
 
-    let model = if Path::new(&artifact).exists() {
+    let model = if Path::new(artifact).exists() {
         let start = Instant::now();
-        let model = match FittedModel::load(&artifact) {
+        let model = match FittedModel::load(artifact) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("score-server: cannot load {artifact}: {e}");
@@ -89,7 +93,7 @@ fn main() {
         let start = Instant::now();
         let model = sidefp_bench::or_die(FittedModel::fit(&ExperimentConfig::default()));
         println!("fitted in {:.1} ms", start.elapsed().as_secs_f64() * 1000.0);
-        sidefp_bench::or_die(model.save(&artifact));
+        sidefp_bench::or_die(model.save(artifact));
         println!(
             "saved {artifact} ({} bytes); restarts are now load-only",
             model.to_bytes().len()

@@ -24,6 +24,7 @@
 
 use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 use sidefp_core::config::RegressorKind;
 use sidefp_core::spc::paired_check;
@@ -337,7 +338,13 @@ fn render_markdown(seeds: &[u64], rows: &[(&str, Vec<Outcome>)]) -> String {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = Args::from_env(&Spec {
+        usage: "sweep [--smoke]",
+        switches: &["--smoke"],
+        options: &[],
+        positional: (0, Kind::Text),
+    })
+    .switch("--smoke");
     let mut cells = cells()?;
     let mut seeds = SEEDS.to_vec();
     if smoke {

@@ -10,9 +10,9 @@
 //! boundaries, solver rescues, quarantine decisions) as JSONL to
 //! `target/table1_trace.jsonl`.
 
-use std::env;
 use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_core::stages::trojan_test;
 use sidefp_core::{ExperimentConfig, PaperExperiment, RunContext};
 use sidefp_stats::bootstrap::proportion_interval;
@@ -20,15 +20,17 @@ use sidefp_stats::mmd_test::mmd_permutation_test;
 use sidefp_stats::roc::RocCurve;
 
 fn main() -> ExitCode {
-    let mut seed = ExperimentConfig::default().seed;
-    let mut trace = false;
-    for arg in env::args().skip(1) {
-        if arg == "--trace" {
-            trace = true;
-        } else if let Ok(s) = arg.parse::<u64>() {
-            seed = s;
-        }
-    }
+    let args = Args::from_env(&Spec {
+        usage: "table1 [seed] [--trace]",
+        switches: &["--trace"],
+        options: &[],
+        positional: (1, Kind::Number),
+    });
+    let seed = args
+        .numbers()
+        .next()
+        .unwrap_or(ExperimentConfig::default().seed);
+    let trace = args.switch("--trace");
     let config = ExperimentConfig {
         seed,
         ..Default::default()

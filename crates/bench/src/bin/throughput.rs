@@ -27,6 +27,7 @@
 
 use std::time::Instant;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 use sidefp_core::{BatchScorer, ExperimentConfig, FittedModel, RunContext};
 
@@ -37,17 +38,17 @@ const BATCHES: usize = 12;
 const BATCH_DEVICES: usize = 25_000;
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let flag = |name: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let batches = flag("--batches", BATCHES);
-    let batch_devices = flag("--batch-size", BATCH_DEVICES);
+    let args = Args::from_env(&Spec {
+        usage: "throughput [--json] [--batches N] [--batch-size N]",
+        switches: &["--json"],
+        options: &[("--batches", Kind::Number), ("--batch-size", Kind::Number)],
+        positional: (0, Kind::Text),
+    });
+    let json = args.switch("--json");
+    let batches = args.number("--batches").map_or(BATCHES, |n| n as usize);
+    let batch_devices = args
+        .number("--batch-size")
+        .map_or(BATCH_DEVICES, |n| n as usize);
 
     let cfg = ExperimentConfig::default();
     let devices_per_fit = cfg.device_count();

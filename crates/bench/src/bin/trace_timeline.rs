@@ -24,8 +24,11 @@
 
 use std::fmt::Write as _;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 use sidefp_core::{ExperimentConfig, PaperExperiment, RunContext};
+
+const USAGE: &str = "trace-timeline (<trace.jsonl> | --demo) [--markdown] [--out PATH]";
 
 /// One rendered timeline row.
 struct Row {
@@ -170,17 +173,15 @@ fn demo_trace() -> Result<String, sidefp_core::CoreError> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let demo = args.iter().any(|a| a == "--demo");
-    let out_pos = args.iter().position(|a| a == "--out");
-    let out_path = out_pos.and_then(|i| args.get(i + 1)).cloned();
-    let input = args
-        .iter()
-        .enumerate()
-        .skip(1)
-        .find(|(i, a)| !a.starts_with("--") && out_pos != Some(i - 1))
-        .map(|(_, a)| a);
+    let args = Args::from_env(&Spec {
+        usage: USAGE,
+        switches: &["--markdown", "--demo"],
+        options: &[("--out", Kind::Text)],
+        positional: (1, Kind::Text),
+    });
+    let (markdown, demo) = (args.switch("--markdown"), args.switch("--demo"));
+    let out_path = args.text("--out");
+    let input = args.positional().next();
 
     let jsonl = if demo {
         eprintln!("running the demo pipeline ...");
@@ -193,8 +194,7 @@ fn main() {
         }
     } else {
         let Some(path) = input else {
-            eprintln!("usage: trace-timeline <trace.jsonl> [--markdown] [--out PATH]");
-            eprintln!("       trace-timeline --demo [--markdown] [--out PATH]");
+            eprintln!("error: no trace file; usage: {USAGE}");
             std::process::exit(2);
         };
         match std::fs::read_to_string(path) {
@@ -215,7 +215,7 @@ fn main() {
 
     match out_path {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &rendered) {
+            if let Err(e) = std::fs::write(path, &rendered) {
                 eprintln!("trace-timeline: cannot write {path}: {e}");
                 std::process::exit(1);
             }

@@ -10,18 +10,24 @@
 //! cargo run --release -p sidefp-bench --bin wafermap [seed]
 //! ```
 
-use std::env;
 use std::fs;
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_core::{ExperimentConfig, PaperExperiment};
 use sidefp_stats::DetectionLabel;
 
 fn main() -> ExitCode {
-    let seed = env::args()
-        .nth(1)
-        .and_then(|s| s.parse::<u64>().ok())
+    let args = Args::from_env(&Spec {
+        usage: "wafermap [seed]",
+        switches: &[],
+        options: &[],
+        positional: (1, Kind::Number),
+    });
+    let seed = args
+        .numbers()
+        .next()
         .unwrap_or(ExperimentConfig::default().seed);
     let config = ExperimentConfig {
         seed,

@@ -1,6 +1,7 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
-//! The binaries in `src/bin/` regenerate the paper's evaluation artifacts:
+//! The binaries in `src/bin/` regenerate the paper's evaluation artifacts
+//! and the committed `BENCH_*.json` records:
 //!
 //! - `table1` — Table 1 (FP/FN of B1–B5 + golden baseline, ROC/AUC, MMD
 //!   certification, bootstrap CIs; writes `target/table1.md`),
@@ -10,17 +11,29 @@
 //!   KMM, SVM, Monte Carlo size, PCM suite, regressor, calibration grid,
 //!   tester temperature, PCM tampering) at 16 seeds; writes
 //!   `BENCH_seeds.json`,
-//! - `scenario-matrix` — channel stacks × Trojan suites × process corners,
+//! - `scenario-matrix` — channel stacks × Trojan suites × process corners;
+//!   writes `BENCH_scenarios.json`,
+//! - `kernels` — exact versus approximate kernel paths at large `n`;
+//!   writes `BENCH_kernels.json`,
+//! - `drift` — incremental recalibration versus full refit on a drifting
+//!   lot stream; writes `BENCH_drift.json`,
+//! - `throughput` — fit-once, score-many batch throughput; writes
+//!   `BENCH_throughput.json`,
+//! - `score-server` — a long-lived scoring process over a saved artifact,
+//! - `trace-timeline` — renders a run's JSONL trace as a span timeline,
 //! - `diagnose` — the stage-by-stage tool used to calibrate the synthetic
 //!   fab against the paper's Table-1 shape,
 //! - `bench-gate` — the typed checks of the committed `BENCH_*.json`
 //!   records, which the binaries write through [`record`].
 //!
-//! The criterion benches in `benches/` measure component and pipeline
-//! performance.
+//! Every binary checks its command line through [`args`] before it does
+//! any work. The criterion benches in `benches/` measure components and
+//! the packed GEMM; timings of the whole pipeline come from the separate
+//! `benchmark` package.
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod plot;
 pub mod record;
 

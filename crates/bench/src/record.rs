@@ -91,12 +91,6 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
-impl<T: Into<Value>> From<Vec<T>> for Value {
-    fn from(v: Vec<T>) -> Self {
-        Value::List(v.into_iter().map(Into::into).collect())
-    }
-}
-
 /// An object from `(key, value)` pairs, in order.
 pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -431,7 +425,10 @@ mod tests {
     fn layout_matches_the_committed_records() {
         let value = object([
             ("bench", Value::from("scaling")),
-            ("thread_counts", Value::from(vec![1usize, 2])),
+            (
+                "thread_counts",
+                Value::List(vec![Value::Int(1), Value::Int(2)]),
+            ),
             (
                 "sizes",
                 Value::List(vec![object([("n", Value::from(1000usize))])]),
@@ -500,7 +497,10 @@ mod tests {
         let text = write(&object([
             ("name", Value::from("power/\"dormant\"/tt é")),
             ("seed", Value::from(u64::MAX)),
-            ("curve", Value::from(vec![1.0, -2.5e-7])),
+            (
+                "curve",
+                Value::List(vec![Value::from(1.0), Value::from(-2.5e-7)]),
+            ),
         ]));
         let cuts = text.char_indices().map(|(i, _)| i).filter(|&i| i > 0);
         for cut in cuts.take_while(|&i| i < text.trim_end().len()) {

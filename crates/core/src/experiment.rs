@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sidefp_linalg::Matrix;
 use sidefp_obs::RunContext;
 use sidefp_stats::Pca;
 
@@ -268,17 +267,6 @@ impl PaperExperiment {
     }
 }
 
-/// Projects a matrix onto the top-3 PCs of a reference population —
-/// exposed for the Figure-4 bench binary.
-///
-/// # Errors
-///
-/// Propagates PCA errors.
-pub fn project_top3(reference: &Matrix, data: &Matrix) -> Result<Matrix, CoreError> {
-    let pca = Pca::fit(reference)?;
-    Ok(pca.project(data, 3.min(reference.ncols()))?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,13 +319,5 @@ mod tests {
         assert_eq!(artifacts.premanufacturing.s1.len(), 40);
         assert_eq!(artifacts.silicon.dutts.len(), 30);
         assert_eq!(artifacts.result.table1.len(), 5);
-    }
-
-    #[test]
-    fn project_top3_shapes() {
-        let reference = Matrix::from_fn(30, 6, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.1);
-        let data = Matrix::from_fn(5, 6, |i, j| (i + j) as f64);
-        let proj = project_top3(&reference, &data).unwrap();
-        assert_eq!(proj.shape(), (5, 3));
     }
 }

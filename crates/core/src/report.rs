@@ -163,44 +163,6 @@ impl ExperimentResult {
     }
 }
 
-/// Renders a streaming-lot session as plain text: one line per lot
-/// (tier, severity, B5 detection tally) followed by the
-/// [`RecalHealth`](crate::health::RecalHealth) counter block.
-pub fn render_stream(
-    outcomes: &[crate::stages::recalibrate::LotOutcome],
-    health: crate::health::RecalHealth,
-) -> String {
-    let mut out = String::from("Streaming lots: per-lot drift decisions\n");
-    out.push_str("---------------------------------------\n");
-    for o in outcomes {
-        let b5 = o
-            .table1
-            .iter()
-            .find(|r| r.dataset == "B5")
-            .map(|r| {
-                format!(
-                    "B5 FP {}/{} FN {}/{}",
-                    r.counts.false_positives(),
-                    r.counts.infested_total(),
-                    r.counts.false_negatives(),
-                    r.counts.free_total()
-                )
-            })
-            .unwrap_or_else(|| "B5 —".into());
-        out.push_str(&format!(
-            "lot {:>3}  {:<11}  worst z {:>7.2}  drift specs {}  {}\n",
-            o.lot,
-            o.action.to_string(),
-            o.severity,
-            o.drift.total(),
-            b5,
-        ));
-    }
-    out.push('\n');
-    out.push_str(&health.render());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,41 +177,6 @@ mod tests {
             c.record(Free, if i < fn_ { Infested } else { Free });
         }
         c
-    }
-
-    #[test]
-    fn render_stream_lists_each_lot_and_the_health_block() {
-        use crate::stages::recalibrate::{LotAction, LotOutcome};
-        let dutts = crate::dataset::DuttPopulation::new(
-            Matrix::from_rows(&[&[0.1, 0.2]]).unwrap(),
-            Matrix::from_rows(&[&[6.4]]).unwrap(),
-            vec![Free],
-            vec!["free"],
-        )
-        .unwrap();
-        let outcomes = vec![LotOutcome {
-            lot: 0,
-            action: LotAction::Refitted,
-            severity: 0.0,
-            spc: None,
-            ewma: None,
-            table1: vec![Table1Row {
-                dataset: "B5",
-                counts: counts(1, 2),
-            }],
-            drift: Default::default(),
-            escalated: 0,
-            dutts,
-        }];
-        let health = crate::health::RecalHealth {
-            lots: 1,
-            refitted: 1,
-            ..Default::default()
-        };
-        let text = render_stream(&outcomes, health);
-        assert!(text.contains("lot   0  refit"), "{text}");
-        assert!(text.contains("B5 FP 1/80 FN 2/40"), "{text}");
-        assert!(text.contains("recalibration health (1 lots)"), "{text}");
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl Cholesky {
     pub fn apply_factor(&self, z: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.l.matvec(z)
     }
-
-    /// Log-determinant of `A` (twice the sum of log diagonal of `L`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -183,14 +178,6 @@ mod tests {
             Matrix::zeros(0, 0).cholesky(),
             Err(LinalgError::Empty)
         ));
-    }
-
-    #[test]
-    fn log_det_matches_lu_det() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let ld = a.cholesky().unwrap().log_det();
-        let det = a.lu().unwrap().det();
-        assert!((ld - det.ln()).abs() < 1e-12);
     }
 
     #[test]

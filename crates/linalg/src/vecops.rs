@@ -285,33 +285,6 @@ pub fn axpy_mut(a: &mut [f64], s: f64, b: &[f64]) {
     }
 }
 
-/// In-place `out[t] += s * (a[t] − b[t])`, 4-wide unrolled — the fused
-/// two-row gradient update of the SMO solver. Element-wise with no
-/// cross-element reduction, so the result is bit-identical to the naive
-/// loop.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add_scaled_diff(out: &mut [f64], s: f64, a: &[f64], b: &[f64]) {
-    assert_eq!(out.len(), a.len(), "add_scaled_diff: length mismatch");
-    assert_eq!(out.len(), b.len(), "add_scaled_diff: length mismatch");
-    let split = out.len() & !3;
-    for ((co, ca), cb) in out[..split]
-        .chunks_exact_mut(4)
-        .zip(a[..split].chunks_exact(4))
-        .zip(b[..split].chunks_exact(4))
-    {
-        co[0] += s * (ca[0] - cb[0]);
-        co[1] += s * (ca[1] - cb[1]);
-        co[2] += s * (ca[2] - cb[2]);
-        co[3] += s * (ca[3] - cb[3]);
-    }
-    for ((o, x), y) in out[split..].iter_mut().zip(&a[split..]).zip(&b[split..]) {
-        *o += s * (x - y);
-    }
-}
-
 /// Element-wise `a + s * b`, returning a new vector (axpy).
 ///
 /// # Panics
@@ -390,21 +363,6 @@ mod tests {
         let mut a = vec![1.0; 7];
         axpy_mut(&mut a, 0.5, &[2.0; 7]);
         assert_eq!(a, vec![2.0; 7]);
-    }
-
-    #[test]
-    fn add_scaled_diff_matches_naive() {
-        for n in [1usize, 4, 7, 13] {
-            let a: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-            let b: Vec<f64> = (0..n).map(|i| 2.0 - i as f64 * 0.3).collect();
-            let mut got = vec![1.0; n];
-            let mut want = vec![1.0; n];
-            add_scaled_diff(&mut got, 0.7, &a, &b);
-            for t in 0..n {
-                want[t] += 0.7 * (a[t] - b[t]);
-            }
-            assert_eq!(got, want, "len {n}");
-        }
     }
 
     #[test]

@@ -99,21 +99,6 @@ pub fn transconductance(process: &ProcessPoint, vgs: f64) -> f64 {
     mobility * cox * (ProcessParameter::GateLength.nominal() / l) * overdrive
 }
 
-/// Oscillation frequency of a `stages`-stage ring oscillator \[MHz\].
-///
-/// # Panics
-///
-/// Panics if `stages` is even or zero (a ring oscillator needs an odd
-/// number of inverting stages).
-pub fn ring_oscillator_frequency(process: &ProcessPoint, stages: usize) -> f64 {
-    assert!(
-        stages % 2 == 1,
-        "ring oscillator needs an odd stage count, got {stages}"
-    );
-    let t_stage = gate_delay(process); // ns
-    1000.0 / (2.0 * stages as f64 * t_stage)
-}
-
 /// Resonant tank frequency of the UWB output stage \[GHz\]:
 /// `f = 1 / (2π√(LC))` with L, C tracking the analog passives.
 pub fn tank_frequency(process: &ProcessPoint) -> f64 {
@@ -198,19 +183,6 @@ mod tests {
         assert!(g2 > g1);
         // Below threshold: zero.
         assert_eq!(transconductance(&p, 0.3), 0.0);
-    }
-
-    #[test]
-    fn ring_oscillator_frequency_sane() {
-        let f = ring_oscillator_frequency(&ProcessPoint::nominal(), 31);
-        // 31 stages at ~0.1 ns → ~160 MHz.
-        assert!(f > 30.0 && f < 1000.0, "RO frequency {f} MHz");
-    }
-
-    #[test]
-    #[should_panic(expected = "odd stage count")]
-    fn even_stage_ring_panics() {
-        let _ = ring_oscillator_frequency(&ProcessPoint::nominal(), 30);
     }
 
     #[test]

@@ -115,42 +115,6 @@ impl MonteCarloEngine {
         Ok((dies, matrix))
     }
 
-    /// Runs two measurement closures per die (e.g. PCMs and fingerprints),
-    /// guaranteeing both observe the *same* virtual die.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MonteCarloEngine::run`].
-    pub fn run_paired<R, F, G>(
-        &self,
-        rng: &mut R,
-        mut measure_a: F,
-        mut measure_b: G,
-    ) -> Result<(Vec<Die>, Matrix, Matrix), SiliconError>
-    where
-        R: Rng,
-        F: FnMut(&Die, &mut R) -> Vec<f64>,
-        G: FnMut(&Die, &mut R) -> Vec<f64>,
-    {
-        let mut a_rows: Vec<Vec<f64>> = Vec::with_capacity(self.samples);
-        let (dies, b) = self.run(rng, |die, rng| {
-            a_rows.push(measure_a(die, rng));
-            measure_b(die, rng)
-        })?;
-        let a_cols = a_rows.first().map_or(0, |r| r.len());
-        if a_cols == 0 || a_rows.iter().any(|r| r.len() != a_cols) {
-            return Err(SiliconError::InvalidParameter {
-                name: "measure_a",
-                reason: "inconsistent or empty measurement rows".into(),
-            });
-        }
-        let mut a = Matrix::zeros(self.samples, a_cols);
-        for (i, row) in a_rows.iter().enumerate() {
-            a.row_mut(i).copy_from_slice(row);
-        }
-        Ok((dies, a, b))
-    }
-
     /// Parallel variant of [`MonteCarloEngine::run`]: die `i` is fabricated
     /// and measured with its own RNG stream forked from `seed`, so the
     /// result is a pure function of the seed — bit-identical at any thread
@@ -173,9 +137,9 @@ impl MonteCarloEngine {
         Ok((dies, matrix))
     }
 
-    /// Parallel variant of [`MonteCarloEngine::run_paired`]: both closures
-    /// observe the same virtual die and draw from the same per-die RNG
-    /// stream (`measure_a` first, exactly like the sequential pairing).
+    /// [`MonteCarloEngine::run_streamed`] with two measurements per die:
+    /// both closures observe the same virtual die and draw from the same
+    /// per-die RNG stream, `measure_a` first.
     ///
     /// # Errors
     ///
@@ -298,31 +262,6 @@ mod tests {
             (sd - expected_sd).abs() < 0.2 * expected_sd,
             "sd {sd} vs expected {expected_sd}"
         );
-    }
-
-    #[test]
-    fn run_paired_observes_same_die() {
-        let engine = MonteCarloEngine::new(Foundry::nominal(), 200).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let suite = PcmSuite::new(vec![crate::pcm::PcmKind::PathDelay], 0.0).unwrap();
-        // Both closures measure the same noise-free quantity; identical
-        // outputs prove they observed the same virtual die.
-        let (dies, a, b) = engine
-            .run_paired(
-                &mut rng,
-                |die, rng| suite.measure(die.process(), rng),
-                |die, rng| suite.measure(die.process(), rng),
-            )
-            .unwrap();
-        assert_eq!(dies.len(), 200);
-        for i in 0..200 {
-            assert_eq!(a[(i, 0)], b[(i, 0)], "row {i} differs between closures");
-        }
-        // And the measured values match the dies returned.
-        for (i, die) in dies.iter().enumerate() {
-            let direct = suite.measure_ideal(die.process())[0];
-            assert!((a[(i, 0)] - direct).abs() < 1e-12);
-        }
     }
 
     #[test]

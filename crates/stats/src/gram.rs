@@ -218,11 +218,6 @@ impl GramMatrix {
             w[i] * row.iter().zip(w).map(|(k, wj)| k * wj).sum::<f64>()
         })
     }
-
-    /// Per-row sums of the matrix.
-    pub fn row_sums(&self) -> Vec<f64> {
-        sidefp_parallel::map_indexed(self.len(), |i| self.values.row(i).iter().sum())
-    }
 }
 
 /// The full symmetric matrix of pairwise squared distances between
@@ -460,17 +455,6 @@ mod tests {
             .map(|(i, j)| w[i] * w[j] * gram.matrix()[(i, j)])
             .sum();
         assert!((gram.weighted_quadratic(&w) - brute).abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_sums_match_matrix_rows() {
-        let data = sample(8, 2);
-        let gram = GramMatrix::symmetric(Kernel::Linear, &data);
-        let sums = gram.row_sums();
-        for (i, s) in sums.iter().enumerate() {
-            let expected: f64 = gram.matrix().row(i).iter().sum();
-            assert_eq!(*s, expected);
-        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
-use rand::Rng;
 use sidefp_linalg::{vecops, Matrix};
 use sidefp_obs::RunContext;
 
 use crate::approx::{self, KernelApprox, KernelFeatureMap};
 use crate::qp::{solve_box_band_detailed, solve_box_band_lowrank, BoxBandConfig};
-use crate::{check_finite_matrix, descriptive, GramMatrix, Kernel, MultivariateNormal, StatsError};
+use crate::{check_finite_matrix, descriptive, GramMatrix, Kernel, StatsError};
 
 /// Relaxation factor for accepting a best-effort QP iterate: a final step
 /// within 100× the configured tolerance still yields usable weights.
@@ -476,73 +475,12 @@ impl KernelMeanMatching {
         }
         Ok(shifted)
     }
-
-    /// Generates a *shifted population*: `n` samples drawn from the
-    /// training rows with probability proportional to the importance
-    /// weights, each perturbed by Gaussian jitter of `jitter` × the
-    /// per-column training standard deviation.
-    ///
-    /// This is the weighted-bootstrap alternative to
-    /// [`KernelMeanMatching::mean_shift_population`]; it follows the test
-    /// distribution's *shape* more closely but collapses when the
-    /// distributions barely overlap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] for negative `jitter` and
-    /// [`StatsError::DegenerateData`] if all weights are zero.
-    pub fn shifted_population<R: Rng>(
-        &self,
-        rng: &mut R,
-        n: usize,
-        jitter: f64,
-    ) -> Result<Matrix, StatsError> {
-        if jitter < 0.0 {
-            return Err(StatsError::InvalidParameter {
-                name: "jitter",
-                reason: format!("must be non-negative, got {jitter}"),
-            });
-        }
-        let total: f64 = self.weights.iter().sum();
-        if total <= 0.0 {
-            return Err(StatsError::DegenerateData(
-                "all importance weights are zero".into(),
-            ));
-        }
-        // Cumulative distribution for weighted sampling.
-        let mut cdf = Vec::with_capacity(self.weights.len());
-        let mut acc = 0.0;
-        for w in &self.weights {
-            acc += w / total;
-            cdf.push(acc);
-        }
-        // Per-column std for jitter scale.
-        let stds: Vec<f64> = (0..self.train.ncols())
-            .map(|j| descriptive::std_dev(&self.train.col(j)).unwrap_or(0.0))
-            .collect();
-
-        let d = self.train.ncols();
-        let mut out = Matrix::zeros(n, d);
-        for i in 0..n {
-            let u: f64 = rng.random();
-            let idx = cdf.partition_point(|c| *c < u).min(cdf.len() - 1);
-            let base = self.train.row(idx);
-            for j in 0..d {
-                let noise = if jitter > 0.0 {
-                    MultivariateNormal::standard_normal(rng) * jitter * stds[j]
-                } else {
-                    0.0
-                };
-                out[(i, j)] = base[j] + noise;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultivariateNormal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -609,25 +547,6 @@ mod tests {
         assert!((mean_w - 1.0).abs() < 0.5, "mean weight {mean_w}");
         let max_w = kmm.weights().iter().cloned().fold(0.0_f64, f64::max);
         assert!(max_w < 10.0, "weight spike {max_w} on identical data");
-    }
-
-    #[test]
-    fn shifted_population_moves_location_keeps_spread() {
-        let (tr, te) = shifted_sets(4);
-        let kmm = KernelMeanMatching::fit(&tr, &te, &KmmConfig::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let pop = kmm.shifted_population(&mut rng, 2000, 0.05).unwrap();
-        let pop_mean = descriptive::mean(&pop.col(0)).unwrap();
-        let te_mean = descriptive::mean(&te.col(0)).unwrap();
-        let tr_mean = descriptive::mean(&tr.col(0)).unwrap();
-        assert!(
-            (pop_mean - te_mean).abs() < (tr_mean - te_mean).abs(),
-            "population mean {pop_mean} did not move toward test mean {te_mean}"
-        );
-        // Spread stays comparable to the training spread (within 2x).
-        let pop_std = descriptive::std_dev(&pop.col(0)).unwrap();
-        let tr_std = descriptive::std_dev(&tr.col(0)).unwrap();
-        assert!(pop_std < 2.0 * tr_std && pop_std > 0.2 * tr_std);
     }
 
     #[test]
@@ -747,14 +666,6 @@ mod tests {
         assert!(kmm
             .reweight_observed(&bad, &KmmConfig::default(), &RunContext::new())
             .is_err());
-    }
-
-    #[test]
-    fn shifted_population_rejects_negative_jitter() {
-        let (tr, te) = shifted_sets(6);
-        let kmm = KernelMeanMatching::fit(&tr, &te, &KmmConfig::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(kmm.shifted_population(&mut rng, 10, -0.1).is_err());
     }
 
     #[test]

@@ -369,11 +369,6 @@ impl Mars {
         &self.coefficients
     }
 
-    /// GCV score of the selected model (lower is better).
-    pub fn gcv_score(&self) -> f64 {
-        self.gcv
-    }
-
     /// Exports the fitted model as a plain-data [`MarsState`] snapshot;
     /// [`Mars::from_state`] reconstructs a bit-identical predictor.
     pub fn export_state(&self) -> MarsState {
@@ -591,15 +586,6 @@ mod tests {
             );
             assert_eq!(m.bases().len(), reference.bases().len());
         }
-    }
-
-    #[test]
-    fn gcv_score_is_finite_and_positive() {
-        let x = grid_1d(0.0, 1.0, 20);
-        let y: Vec<f64> = x.col(0).iter().map(|v| v * v).collect();
-        let m = Mars::fit(&x, &y, &MarsConfig::default()).unwrap();
-        assert!(m.gcv_score().is_finite());
-        assert!(m.gcv_score() >= 0.0);
     }
 
     #[test]

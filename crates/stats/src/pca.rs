@@ -117,16 +117,6 @@ impl Pca {
         }
         Ok(out)
     }
-
-    /// Projects a single sample onto the top `k` components.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pca::project`].
-    pub fn project_sample(&self, x: &[f64], k: usize) -> Result<Vec<f64>, StatsError> {
-        let m = Matrix::from_rows(&[x])?;
-        Ok(self.project(&m, k)?.row(0).to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -184,17 +174,6 @@ mod tests {
         // Projected variances equal eigenvalues.
         for (v, e) in var.iter().zip(pca.eigenvalues()) {
             assert!((v - e).abs() < 1e-6 * e.max(1.0), "var {v} vs eig {e}");
-        }
-    }
-
-    #[test]
-    fn project_sample_matches_matrix_projection() {
-        let data = random_blob(40, 3, 5);
-        let pca = Pca::fit(&data).unwrap();
-        let proj = pca.project(&data, 3).unwrap();
-        let single = pca.project_sample(data.row(7), 3).unwrap();
-        for j in 0..3 {
-            assert!((proj[(7, j)] - single[j]).abs() < 1e-12);
         }
     }
 

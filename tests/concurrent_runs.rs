@@ -10,8 +10,7 @@
 use sidefp_core::{ExperimentConfig, ExperimentResult, PaperExperiment, RunContext};
 use sidefp_faults::{FaultClass, FaultPlan};
 
-/// The stage set every pipeline run times (also the key set of
-/// `BENCH_pipeline.json`'s `stages_ms`), sorted by name.
+/// The stage set every pipeline run times, sorted by name.
 const STAGES: [&str; 13] = [
     "boundary.B1",
     "boundary.B2",

@@ -8,7 +8,7 @@
 //! one loop at a time.
 //!
 //! ```text
-//! cargo test -p sidefp-bench --test steady_state_allocs                # KDE, OCSVM, score_into
+//! cargo test -p sidefp-bench --test steady_state_allocs                # KDE, OCSVM, score_into, sampler
 //! cargo test -p sidefp-bench --test steady_state_allocs -- --ignored   # packed GEMM
 //! ```
 
@@ -58,9 +58,7 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Heap blocks requested by the second run of `pass`. The first run is
-/// not counted: it warms every workspace pool the loop touches. One call
-/// is not always enough for that: a cold thread's OCSVM RBF expansion
-/// requests blocks on its first four calls.
+/// not counted: it warms every workspace pool the loop touches.
 fn steady_state_blocks(mut pass: impl FnMut()) -> u64 {
     pass();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -125,6 +123,30 @@ fn score_into_requests_no_heap_blocks() {
         }
     });
     assert_eq!(blocks, 0, "steady-state score_into heap blocks");
+}
+
+/// KDE tail enhancement draws 10⁵ rows straight into the output matrix:
+/// at one worker the heap blocks of one `sample_matrix_streamed` call do
+/// not grow with the row count.
+#[test]
+fn kde_streamed_sampling_requests_no_heap_blocks_per_row() {
+    let _serial = serial();
+    let (data, _) = data_and_queries();
+    let kde = AdaptiveKde::fit(&data, &KdeConfig::default()).unwrap();
+    let blocks = |rows: usize| {
+        sidefp_parallel::with_threads(1, || {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let samples = kde.sample_matrix_streamed(5, rows);
+            let requested = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!(samples.nrows(), rows);
+            requested
+        })
+    };
+    assert_eq!(
+        blocks(1_000),
+        blocks(100_000),
+        "kde.sample_matrix_streamed heap blocks at 1,000 vs 100,000 rows"
+    );
 }
 
 /// The packed-GEMM panel buffers live in a thread-local workspace: once a

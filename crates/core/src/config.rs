@@ -269,8 +269,6 @@ pub struct ExperimentConfig {
     pub kde: KdeConfig,
     /// Kernel-mean-matching settings (S4).
     pub kmm: KmmConfig,
-    /// Relative jitter of the KMM weighted bootstrap.
-    pub kmm_jitter: f64,
     /// Iteration budget of the KMM mean-shift calibration.
     pub kmm_iterations: usize,
     /// How much of the true process spread the simulation model captures
@@ -340,7 +338,6 @@ impl Default for ExperimentConfig {
                 alpha: 0.5,
             },
             kmm: KmmConfig::default(),
-            kmm_jitter: 0.05,
             kmm_iterations: 12,
             model_sigma_scale: 0.8,
             fab_sigma_scale: 1.0,
@@ -423,12 +420,6 @@ impl ExperimentConfig {
             return Err(CoreError::InvalidConfig {
                 name: "trojan deltas",
                 reason: "modulation depths must be non-negative".into(),
-            });
-        }
-        if self.kmm_jitter < 0.0 {
-            return Err(CoreError::InvalidConfig {
-                name: "kmm_jitter",
-                reason: "must be non-negative".into(),
             });
         }
         if self.kmm_iterations == 0 {
@@ -533,9 +524,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = base();
         c.amplitude_delta = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = base();
-        c.kmm_jitter = -1.0;
         assert!(c.validate().is_err());
         let mut c = base();
         c.kmm_iterations = 0;

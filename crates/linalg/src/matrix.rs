@@ -490,6 +490,12 @@ impl Matrix {
 
     /// Sample covariance matrix of the rows (denominator `n − 1`).
     ///
+    /// One pass over the rows: each row's deviations from the column means
+    /// are computed once into a `d`-length buffer, and the products
+    /// `(x_j − m_j)(x_k − m_k)`, `k ≥ j`, accumulate in row order into a
+    /// packed upper triangle. A row whose deviation in column `j` is
+    /// exactly zero adds nothing to row `j` of the triangle.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Empty`] if the matrix has fewer than two rows.
@@ -497,25 +503,34 @@ impl Matrix {
         if self.rows < 2 {
             return Err(LinalgError::Empty);
         }
+        let d = self.cols;
         let means = self.column_means();
-        let mut cov = Matrix::zeros(self.cols, self.cols);
+        let mut dev = vec![0.0; d];
+        let mut upper = vec![0.0; d * (d + 1) / 2];
         for row in self.rows_iter() {
-            for j in 0..self.cols {
-                let dj = row[j] - means[j];
-                if dj == 0.0 {
-                    continue;
+            for ((v, x), m) in dev.iter_mut().zip(row).zip(&means) {
+                *v = x - m;
+            }
+            let mut start = 0;
+            for j in 0..d {
+                let dj = dev[j];
+                if dj != 0.0 {
+                    for (c, dk) in upper[start..start + d - j].iter_mut().zip(&dev[j..]) {
+                        *c += dj * dk;
+                    }
                 }
-                for k in j..self.cols {
-                    cov[(j, k)] += dj * (row[k] - means[k]);
-                }
+                start += d - j;
             }
         }
         let denom = (self.rows - 1) as f64;
-        for j in 0..self.cols {
-            for k in j..self.cols {
-                cov[(j, k)] /= denom;
+        let mut cov = Matrix::zeros(d, d);
+        let mut start = 0;
+        for j in 0..d {
+            for (k, c) in (j..d).zip(&upper[start..start + d - j]) {
+                cov[(j, k)] = c / denom;
                 cov[(k, j)] = cov[(j, k)];
             }
+            start += d - j;
         }
         Ok(cov)
     }
@@ -774,6 +789,47 @@ mod tests {
         assert!(near(c[(0, 1)], 2.0));
         assert!(near(c[(1, 1)], 4.0));
         assert!(Matrix::zeros(1, 2).covariance().is_err());
+    }
+
+    #[test]
+    fn covariance_matches_per_entry_reference_bit_for_bit() {
+        // Per-entry reference: for each (j, k), fold the rows in order,
+        // skipping a row whose column-j deviation is exactly zero.
+        fn reference(m: &Matrix) -> Matrix {
+            let means = m.column_means();
+            let d = m.ncols();
+            let mut cov = Matrix::zeros(d, d);
+            for j in 0..d {
+                for k in j..d {
+                    let mut acc = 0.0;
+                    for row in m.rows_iter() {
+                        let dj = row[j] - means[j];
+                        if dj != 0.0 {
+                            acc += dj * (row[k] - means[k]);
+                        }
+                    }
+                    cov[(j, k)] = acc / (m.nrows() - 1) as f64;
+                    cov[(k, j)] = cov[(j, k)];
+                }
+            }
+            cov
+        }
+        for (rows, cols) in [(2, 1), (7, 3), (200, 6), (57, 11)] {
+            let mut m = Matrix::from_fn(rows, cols, |i, j| {
+                ((i * 31 + j * 17) as f64 * 0.613).sin() * (1.0 + j as f64)
+            });
+            // Column 0 reads 1, 2, 3, 2, 2, … with a mean of exactly 2, so
+            // every row but the first and third has a zero deviation there.
+            if rows >= 7 {
+                for i in 0..rows {
+                    m[(i, 0)] = if i < 3 { 1.0 + i as f64 } else { 2.0 };
+                }
+            }
+            let got = m.covariance().unwrap();
+            let want = reference(&m);
+            let bits = |c: &Matrix| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+        }
     }
 
     #[test]

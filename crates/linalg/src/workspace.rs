@@ -27,8 +27,8 @@
 /// A small pool of reusable `f64` scratch vectors.
 ///
 /// `take(len)` returns a zeroed vector of exactly `len` elements, reusing
-/// the largest pooled buffer when one exists; `give` returns a buffer to
-/// the pool. The pool is deliberately tiny (a plain LIFO stack): the hot
+/// the smallest pooled buffer that fits; `give` returns a buffer to the
+/// pool. The pool is deliberately tiny (a plain LIFO stack): the hot
 /// paths keep at most a handful of buffers in flight.
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -43,16 +43,21 @@ impl Workspace {
 
     /// Borrows a zeroed scratch vector of exactly `len` elements.
     ///
-    /// Reuses pooled storage when any returned buffer's capacity suffices;
-    /// steady-state loops that `take`/`give` the same sizes therefore stop
-    /// allocating after the first iteration.
+    /// Best fit: hands out the smallest pooled buffer whose capacity
+    /// suffices, so a small request never takes the buffer a larger one
+    /// needs. When none fits, the largest pooled buffer grows (or, from an
+    /// empty pool, a new one is allocated). Steady-state loops that
+    /// `take`/`give` the same sizes therefore stop allocating after the
+    /// first iteration.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
-        // Prefer the pooled buffer with the largest capacity so repeated
-        // mixed-size take patterns converge on a fixed set of buffers.
-        let best = (0..self.pool.len()).max_by_key(|&i| self.pool[i].capacity());
-        let mut buf = match best {
-            Some(i) if self.pool[i].capacity() >= len => self.pool.swap_remove(i),
-            _ => Vec::with_capacity(len),
+        let capacity = |i: &usize| self.pool[*i].capacity();
+        let fit = (0..self.pool.len())
+            .filter(|i| capacity(i) >= len)
+            .min_by_key(capacity)
+            .or_else(|| (0..self.pool.len()).max_by_key(capacity));
+        let mut buf = match fit {
+            Some(i) => self.pool.swap_remove(i),
+            None => Vec::with_capacity(len),
         };
         buf.clear();
         buf.resize(len, 0.0);
@@ -101,6 +106,24 @@ mod tests {
         assert_eq!(buf.as_ptr(), ptr);
         ws.give(buf);
         assert_eq!(ws.pooled(), 1);
+    }
+
+    #[test]
+    fn mixed_sizes_allocate_only_on_the_first_cycle() {
+        // A small request first, then a larger one: each must get its own
+        // buffer back, or the larger request allocates on every cycle.
+        let mut ws = Workspace::new();
+        let mut first = None;
+        for cycle in 0..4 {
+            let small = ws.take(16);
+            let large = ws.take(256);
+            let storage = (small.as_ptr(), large.as_ptr(), large.capacity());
+            ws.give(small);
+            ws.give(large);
+            let first = *first.get_or_insert(storage);
+            assert_eq!(storage, first, "cycle {cycle} allocated");
+            assert_eq!(ws.pooled(), 2);
+        }
     }
 
     #[test]

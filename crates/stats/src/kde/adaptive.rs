@@ -353,48 +353,46 @@ impl AdaptiveKde {
         Ok(())
     }
 
+    /// [`AdaptiveKde::sample`] written into `out` without allocating; the
+    /// one sampler behind every public sampling method.
+    fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
+        let i = rng.random_range(0..self.len());
+        self.kernel.sample_into(rng, out);
+        let hl = self.bandwidth * self.lambdas[i];
+        let (means, stds) = (self.scaler.means(), self.scaler.stds());
+        for (j, (o, c)) in out.iter_mut().zip(self.z.row(i)).enumerate() {
+            *o = (c + hl * *o) * stds[j] + means[j];
+        }
+    }
+
     /// Draws one synthetic sample in original units: picks an observation
     /// uniformly and perturbs it by a kernel-distributed offset scaled by
     /// `h·λ_i`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Vec<f64> {
-        let i = rng.random_range(0..self.len());
-        let offset = self.kernel.sample(rng);
-        let hl = self.bandwidth * self.lambdas[i];
-        let zx: Vec<f64> = self
-            .z
-            .row(i)
-            .iter()
-            .zip(&offset)
-            .map(|(c, o)| c + hl * o)
-            .collect();
-        self.scaler
-            .inverse_transform_sample(&zx)
-            .expect("sample dimension matches fitted dimension")
+        let mut out = vec![0.0; self.dim()];
+        self.sample_into(rng, &mut out);
+        out
     }
 
     /// Draws `n` synthetic samples as rows of a matrix.
     pub fn sample_matrix<R: Rng>(&self, rng: &mut R, n: usize) -> Matrix {
         let mut out = Matrix::zeros(n, self.dim());
         for i in 0..n {
-            let s = self.sample(rng);
-            out.row_mut(i).copy_from_slice(&s);
+            self.sample_into(rng, out.row_mut(i));
         }
         out
     }
 
-    /// Draws `n` synthetic samples in parallel, each row from its own RNG
-    /// stream forked from `seed` — the result is a pure function of the
-    /// seed, identical at any thread count.
+    /// Draws `n` synthetic samples in parallel, row `i` from its own RNG
+    /// stream `fork_seed(seed, i)` and written in place — the result is a
+    /// pure function of the seed, identical at any thread count.
     pub fn sample_matrix_streamed(&self, seed: u64, n: usize) -> Matrix {
-        let rows = sidefp_parallel::map_indexed(n, |i| {
+        let mut out = Matrix::zeros(n, self.dim());
+        sidefp_parallel::for_each_row_mut(out.as_mut_slice(), self.dim(), |i, row| {
             let mut rng =
                 rand::rngs::StdRng::seed_from_u64(sidefp_parallel::fork_seed(seed, i as u64));
-            self.sample(&mut rng)
+            self.sample_into(&mut rng, row);
         });
-        let mut out = Matrix::zeros(n, self.dim());
-        for (i, row) in rows.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(row);
-        }
         out
     }
 
@@ -740,6 +738,82 @@ mod tests {
         let dm = data.column_means();
         assert!((sm[0] - dm[0]).abs() < 0.15);
         assert!((sm[1] - dm[1]).abs() < 0.3);
+    }
+
+    /// The allocating sampler that `sample_into` replaced: a kernel offset
+    /// `Vec` with the rejection envelope recomputed per draw, a z-space
+    /// `Vec` and the scaler's `inverse_transform_sample`.
+    fn reference_sample(kde: &AdaptiveKde, rng: &mut StdRng) -> Vec<f64> {
+        let i = rng.random_range(0..kde.len());
+        let dim = kde.dim();
+        let d = dim as f64;
+        let r_mode = if dim == 1 {
+            0.0
+        } else {
+            ((d - 1.0) / (d + 1.0)).sqrt()
+        };
+        let f_max = r_mode.powf(d - 1.0).max(f64::MIN_POSITIVE) * (1.0 - r_mode * r_mode);
+        let f_max = if dim == 1 { 1.0 } else { f_max };
+        let radius = loop {
+            let r: f64 = rng.random::<f64>();
+            let f = r.powf(d - 1.0) * (1.0 - r * r);
+            if rng.random::<f64>() * f_max <= f {
+                break r;
+            }
+        };
+        let mut dir: Vec<f64> = (0..dim)
+            .map(|_| crate::MultivariateNormal::standard_normal(rng))
+            .collect();
+        let norm: f64 = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
+        for v in &mut dir {
+            *v *= radius / norm;
+        }
+        let hl = kde.bandwidth * kde.lambdas[i];
+        let zx: Vec<f64> = kde
+            .z
+            .row(i)
+            .iter()
+            .zip(&dir)
+            .map(|(c, o)| c + hl * o)
+            .collect();
+        kde.scaler.inverse_transform_sample(&zx).unwrap()
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn samplers_match_the_allocating_reference_bit_for_bit() {
+        for dim in [1, 2, 6, 11] {
+            let mvn =
+                crate::MultivariateNormal::independent(vec![0.5; dim], &vec![1.5; dim]).unwrap();
+            let data = mvn.sample_matrix(&mut StdRng::seed_from_u64(dim as u64), 90);
+            let kde = AdaptiveKde::fit(&data, &KdeConfig::default()).unwrap();
+            let n = 400;
+            for threads in [1, 2] {
+                let streamed =
+                    sidefp_parallel::with_threads(threads, || kde.sample_matrix_streamed(31, n));
+                for i in 0..n {
+                    let stream = sidefp_parallel::fork_seed(31, i as u64);
+                    let want = reference_sample(&kde, &mut StdRng::seed_from_u64(stream));
+                    let got = kde.sample(&mut StdRng::seed_from_u64(stream));
+                    assert_eq!(bits(&got), bits(&want), "d={dim} row {i}");
+                    assert_eq!(
+                        bits(streamed.row(i)),
+                        bits(&want),
+                        "d={dim} threads={threads} row {i}"
+                    );
+                }
+            }
+            // One stream drawn row after row consumes the same draws.
+            let matrix = kde.sample_matrix(&mut StdRng::seed_from_u64(77), 50);
+            let mut rng = StdRng::seed_from_u64(77);
+            for i in 0..50 {
+                let want = reference_sample(&kde, &mut rng);
+                assert_eq!(bits(matrix.row(i)), bits(&want), "d={dim} row {i}");
+            }
+        }
     }
 
     #[test]

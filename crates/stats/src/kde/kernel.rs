@@ -22,6 +22,9 @@ use crate::MultivariateNormal;
 pub struct Epanechnikov {
     dim: usize,
     normalization: f64,
+    /// Envelope of the radial rejection sampler: the maximum of
+    /// `r^{d−1}(1 − r²)` on `[0, 1]`.
+    f_max: f64,
 }
 
 impl Epanechnikov {
@@ -33,9 +36,19 @@ impl Epanechnikov {
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "Epanechnikov kernel requires dim >= 1");
         let c_d = Self::unit_ball_volume(dim);
+        let d = dim as f64;
+        // r^0 (1 − r²) is maximal at r = 0; otherwise at the mode
+        // r = √((d − 1)/(d + 1)).
+        let f_max = if dim == 1 {
+            1.0
+        } else {
+            let r_mode = ((d - 1.0) / (d + 1.0)).sqrt();
+            r_mode.powf(d - 1.0).max(f64::MIN_POSITIVE) * (1.0 - r_mode * r_mode)
+        };
         Epanechnikov {
             dim,
-            normalization: 0.5 * (dim as f64 + 2.0) / c_d,
+            normalization: 0.5 * (d + 2.0) / c_d,
+            f_max,
         }
     }
 
@@ -79,43 +92,39 @@ impl Epanechnikov {
         }
     }
 
-    /// Draws a random offset distributed according to the kernel.
+    /// Writes a random offset distributed according to the kernel into
+    /// `out`.
     ///
-    /// Direction: uniform on the `d`-sphere (normalized Gaussian).
     /// Radius: rejection sampling from the marginal `∝ r^{d−1}(1 − r²)`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Vec<f64> {
+    /// Direction: uniform on the `d`-sphere (`d` normalized Gaussians,
+    /// drawn after the radius).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != dim()`.
+    pub fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim, "kernel dimension mismatch");
         let d = self.dim as f64;
-        // Mode of the radial density, for the rejection envelope.
-        let r_mode = if self.dim == 1 {
-            // r^0 (1 - r^2) is maximal at r = 0.
-            0.0
-        } else {
-            ((d - 1.0) / (d + 1.0)).sqrt()
-        };
-        let f_max = r_mode.powf(d - 1.0).max(f64::MIN_POSITIVE) * (1.0 - r_mode * r_mode);
-        let f_max = if self.dim == 1 { 1.0 } else { f_max };
-
         let radius = loop {
             let r: f64 = rng.random::<f64>();
             let f = r.powf(d - 1.0) * (1.0 - r * r);
-            if rng.random::<f64>() * f_max <= f {
+            if rng.random::<f64>() * self.f_max <= f {
                 break r;
             }
         };
-
-        // Uniform direction.
-        let mut dir: Vec<f64> = (0..self.dim)
-            .map(|_| MultivariateNormal::standard_normal(rng))
-            .collect();
-        let norm: f64 = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
+        for v in out.iter_mut() {
+            *v = MultivariateNormal::standard_normal(rng);
+        }
+        let norm: f64 = out.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm < f64::MIN_POSITIVE {
             // Astronomically unlikely; return the origin.
-            return vec![0.0; self.dim];
+            out.fill(0.0);
+            return;
         }
-        for v in &mut dir {
-            *v *= radius / norm;
+        let scale = radius / norm;
+        for v in out.iter_mut() {
+            *v *= scale;
         }
-        dir
     }
 }
 
@@ -186,8 +195,9 @@ mod tests {
     fn samples_stay_in_unit_ball() {
         let k = Epanechnikov::new(4);
         let mut rng = StdRng::seed_from_u64(11);
+        let mut s = [0.0; 4];
         for _ in 0..1000 {
-            let s = k.sample(&mut rng);
+            k.sample_into(&mut rng, &mut s);
             let r2: f64 = s.iter().map(|v| v * v).sum();
             assert!(r2 <= 1.0 + 1e-12, "sample outside unit ball: r² = {r2}");
         }
@@ -198,9 +208,10 @@ mod tests {
         let k = Epanechnikov::new(2);
         let mut rng = StdRng::seed_from_u64(5);
         let mut sums = [0.0_f64; 2];
+        let mut s = [0.0; 2];
         let n = 20_000;
         for _ in 0..n {
-            let s = k.sample(&mut rng);
+            k.sample_into(&mut rng, &mut s);
             sums[0] += s[0];
             sums[1] += s[1];
         }
@@ -214,10 +225,11 @@ mod tests {
         let k = Epanechnikov::new(1);
         let mut rng = StdRng::seed_from_u64(19);
         let n = 50_000;
+        let mut s = [0.0];
         let var: f64 = (0..n)
             .map(|_| {
-                let s = k.sample(&mut rng)[0];
-                s * s
+                k.sample_into(&mut rng, &mut s);
+                s[0] * s[0]
             })
             .sum::<f64>()
             / n as f64;

@@ -4,11 +4,9 @@ use crate::mars::{BasisFunction, Hinge, HingeDirection};
 use crate::state::{MarsBasisState, MarsState, RegressorState};
 use crate::{Regressor, StatsError};
 
-/// Borrow every design column as a slice (trial fits extend this cheap
-/// view instead of cloning the columns themselves).
-fn borrow_cols(cols: &[Vec<f64>]) -> Vec<&[f64]> {
-    cols.iter().map(Vec::as_slice).collect()
-}
+/// The forward pass's model: the bases, their design columns (aligned by
+/// index) and the RSS of the least-squares fit on all of them.
+type ForwardModel = (Vec<BasisFunction>, Vec<Vec<f64>>, f64);
 
 /// Configuration for [`Mars`] fitting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,145 +112,11 @@ impl Mars {
             });
         }
 
-        let mut bases = vec![BasisFunction::intercept()];
-        let mut design_cols: Vec<Vec<f64>> = vec![vec![1.0; n]];
-        // Seed with plain linear terms so the model never extrapolates
-        // flat; pruning may still remove them if they carry no signal.
-        for feature in 0..x.ncols() {
-            let linear = BasisFunction::linear(feature);
-            design_cols.push(Self::basis_column(&linear, x));
-            bases.push(linear);
-        }
-        let mut best_rss = Self::fit_rss(&borrow_cols(&design_cols), y)?;
+        let (bases, design_cols, full_rss) = Self::forward(x, y, config)?;
+        let (best_active, best_gcv) =
+            Self::prune(&bases, &design_cols, y, config.penalty, full_rss)?;
 
-        // The design matrix must stay overdetermined: cap the term count at
-        // both the configured budget and (n − 1) columns.
-        let term_cap = config.max_terms.min(n.saturating_sub(1));
-
-        // ---- Forward pass ----
-        while bases.len() + 1 < term_cap {
-            // Enumerate every admissible (parent, feature, knot) triple
-            // first, then score the trial fits in parallel: each trial is
-            // an independent QR factorization, the dominant cost of the
-            // forward pass.
-            let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-            for parent_idx in 0..bases.len() {
-                if bases[parent_idx].degree() >= config.max_interaction {
-                    continue;
-                }
-                let parent_col = &design_cols[parent_idx];
-                for feature in 0..x.ncols() {
-                    if bases[parent_idx].uses_feature(feature) {
-                        continue;
-                    }
-                    for knot in Self::candidate_knots(x, parent_col, feature, config.max_knots) {
-                        candidates.push((parent_idx, feature, knot));
-                    }
-                }
-            }
-            // Every trial shares the columns already in the model, so the
-            // shared prefix is factored once per round and each candidate
-            // clones it and pushes only its two hinge columns — the
-            // incremental QR replays the full factorization's arithmetic
-            // exactly, so trial RSS values are bit-identical to refitting
-            // from scratch.
-            let mut prefix = QrBuilder::new(n, y)?;
-            for col in &design_cols {
-                prefix.push_column(col)?;
-            }
-            let scores: Vec<Result<f64, StatsError>> =
-                sidefp_parallel::map_indexed(candidates.len(), |c| {
-                    let (parent_idx, feature, knot) = candidates[c];
-                    let (pos, neg) = Self::hinge_pair(&bases[parent_idx], feature, knot);
-                    let pos_col = Self::basis_column(&pos, x);
-                    let neg_col = Self::basis_column(&neg, x);
-                    let mut qr = prefix.clone();
-                    qr.push_column(&pos_col)?;
-                    qr.push_column(&neg_col)?;
-                    Ok(qr.rss())
-                });
-            // Scan in enumeration order with strict improvement, so ties
-            // resolve to the lowest candidate index — exactly the
-            // sequential first-wins behavior at any thread count.
-            let mut best: Option<(usize, f64)> = None;
-            for (c, score) in scores.into_iter().enumerate() {
-                let rss = score?;
-                if best.is_none_or(|(_, b)| rss < b) {
-                    best = Some((c, rss));
-                }
-            }
-            match best {
-                Some((c, rss)) if rss < best_rss * (1.0 - 1e-9) => {
-                    let (parent_idx, feature, knot) = candidates[c];
-                    let (pos, neg) = Self::hinge_pair(&bases[parent_idx], feature, knot);
-                    design_cols.push(Self::basis_column(&pos, x));
-                    design_cols.push(Self::basis_column(&neg, x));
-                    bases.push(pos);
-                    bases.push(neg);
-                    best_rss = rss;
-                }
-                _ => break,
-            }
-        }
-
-        // ---- Backward pruning by GCV ----
-        let mut active: Vec<usize> = (0..bases.len()).collect();
-        let (mut best_active, mut best_gcv) = {
-            let cols: Vec<&[f64]> = active.iter().map(|&i| design_cols[i].as_slice()).collect();
-            let rss = Self::fit_rss(&cols, y)?;
-            (
-                active.clone(),
-                Self::gcv(rss, n, active.len(), config.penalty),
-            )
-        };
-        while active.len() > 1 {
-            // Try removing each non-intercept term; keep the best removal.
-            // Linear seed terms are protected: within the training range a
-            // hinge combination can replicate them (making them look
-            // redundant to GCV), but they are what keeps extrapolation
-            // slopes alive outside the range.
-            let removable: Vec<usize> = active
-                .iter()
-                .enumerate()
-                .filter(|(_, &idx)| {
-                    !(bases[idx].is_intercept()
-                        || (bases[idx].hinges().is_empty()
-                            && !bases[idx].linear_features().is_empty()))
-                })
-                .map(|(pos, _)| pos)
-                .collect();
-            // Score every removal trial in parallel (one QR each), then
-            // scan in order so ties resolve to the lowest position.
-            let scores: Vec<Result<f64, StatsError>> =
-                sidefp_parallel::map_indexed(removable.len(), |t| {
-                    let pos = removable[t];
-                    let cols: Vec<&[f64]> = active
-                        .iter()
-                        .enumerate()
-                        .filter(|(p, _)| *p != pos)
-                        .map(|(_, &i)| design_cols[i].as_slice())
-                        .collect();
-                    let rss = Self::fit_rss(&cols, y)?;
-                    Ok(Self::gcv(rss, n, active.len() - 1, config.penalty))
-                });
-            let mut round_best: Option<(usize, f64)> = None;
-            for (t, score) in scores.into_iter().enumerate() {
-                let g = score?;
-                if round_best.is_none_or(|(_, bg)| g < bg) {
-                    round_best = Some((removable[t], g));
-                }
-            }
-            let Some((remove_pos, g)) = round_best else {
-                break;
-            };
-            active.remove(remove_pos);
-            if g < best_gcv {
-                best_gcv = g;
-                best_active = active.clone();
-            }
-        }
-
-        // ---- Final fit on the pruned basis set ----
+        // Final fit on the pruned basis set.
         let final_bases: Vec<BasisFunction> =
             best_active.iter().map(|&i| bases[i].clone()).collect();
         let cols: Vec<&[f64]> = best_active
@@ -272,6 +136,174 @@ impl Mars {
             detail: format!("bases={}", model.bases.len()),
         });
         Ok(model)
+    }
+
+    /// Forward pass: starts from the intercept and one linear term per
+    /// feature, then adds the mirrored hinge pair that lowers the RSS most
+    /// until the term budget is spent or no pair improves the fit.
+    fn forward(x: &Matrix, y: &[f64], config: &MarsConfig) -> Result<ForwardModel, StatsError> {
+        let n = x.nrows();
+        let mut bases = vec![BasisFunction::intercept()];
+        let mut design_cols: Vec<Vec<f64>> = vec![vec![1.0; n]];
+        // Seed with plain linear terms so the model never extrapolates
+        // flat; pruning may still remove them if they carry no signal.
+        for feature in 0..x.ncols() {
+            let linear = BasisFunction::linear(feature);
+            design_cols.push(Self::basis_column(&linear, x));
+            bases.push(linear);
+        }
+        // Running factorization of the model's columns. `QrBuilder`
+        // replays the full factorization's arithmetic exactly, so every
+        // RSS read from it (or from a clone extended by trial columns) is
+        // bit-identical to refitting the design from scratch.
+        let mut model_qr = QrBuilder::new(n, y)?;
+        for col in &design_cols {
+            model_qr.push_column(col)?;
+        }
+        let mut best_rss = model_qr.rss();
+
+        // The design matrix must stay overdetermined: cap the term count at
+        // both the configured budget and (n − 1) columns.
+        let term_cap = config.max_terms.min(n.saturating_sub(1));
+
+        while bases.len() + 1 < term_cap {
+            // Enumerate every admissible (parent, feature, knot) triple
+            // first, then score the trial fits in parallel.
+            let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
+            for parent_idx in 0..bases.len() {
+                if bases[parent_idx].degree() >= config.max_interaction {
+                    continue;
+                }
+                let parent_col = &design_cols[parent_idx];
+                for feature in 0..x.ncols() {
+                    if bases[parent_idx].uses_feature(feature) {
+                        continue;
+                    }
+                    for knot in Self::candidate_knots(x, parent_col, feature, config.max_knots) {
+                        candidates.push((parent_idx, feature, knot));
+                    }
+                }
+            }
+            // Every trial shares the columns already in the model, so each
+            // candidate clones the model's factorization and pushes only
+            // its two hinge columns.
+            let scores: Vec<Result<f64, StatsError>> =
+                sidefp_parallel::map_indexed(candidates.len(), |c| {
+                    let (parent_idx, feature, knot) = candidates[c];
+                    let (pos, neg) = Self::hinge_pair(&bases[parent_idx], feature, knot);
+                    let pos_col = Self::basis_column(&pos, x);
+                    let neg_col = Self::basis_column(&neg, x);
+                    let mut qr = model_qr.clone();
+                    qr.push_column(&pos_col)?;
+                    qr.push_column(&neg_col)?;
+                    Ok(qr.rss())
+                });
+            // Scan in enumeration order with strict improvement, so ties
+            // resolve to the lowest candidate index — exactly the
+            // sequential first-wins behavior at any thread count.
+            let mut best: Option<(usize, f64)> = None;
+            for (c, score) in scores.into_iter().enumerate() {
+                let rss = score?;
+                if best.is_none_or(|(_, b)| rss < b) {
+                    best = Some((c, rss));
+                }
+            }
+            match best {
+                Some((c, rss)) if rss < best_rss * (1.0 - 1e-9) => {
+                    let (parent_idx, feature, knot) = candidates[c];
+                    let (pos, neg) = Self::hinge_pair(&bases[parent_idx], feature, knot);
+                    for basis in [&pos, &neg] {
+                        let col = Self::basis_column(basis, x);
+                        model_qr.push_column(&col)?;
+                        design_cols.push(col);
+                    }
+                    bases.push(pos);
+                    bases.push(neg);
+                    best_rss = rss;
+                }
+                _ => break,
+            }
+        }
+
+        Ok((bases, design_cols, model_qr.rss()))
+    }
+
+    /// Backward pruning by GCV: removes one term per round (the removal
+    /// with the lowest GCV) down to the intercept and returns the active
+    /// set with the best GCV seen, starting from the full model whose RSS
+    /// is `full_rss`.
+    ///
+    /// Removal trials share their leading columns: a round factors
+    /// `active[..pos]` once as a running [`QrBuilder`], and the trial at
+    /// `pos` clones that prefix and pushes `active[pos + 1..]`. The
+    /// builder replays the full factorization exactly, so each trial's
+    /// RSS is bit-identical to a fresh QR of its design.
+    fn prune(
+        bases: &[BasisFunction],
+        design_cols: &[Vec<f64>],
+        y: &[f64],
+        penalty: f64,
+        full_rss: f64,
+    ) -> Result<(Vec<usize>, f64), StatsError> {
+        let n = y.len();
+        let mut active: Vec<usize> = (0..bases.len()).collect();
+        let mut best_active = active.clone();
+        let mut best_gcv = Self::gcv(full_rss, n, active.len(), penalty);
+        while active.len() > 1 {
+            // Try removing each non-intercept term; keep the best removal.
+            // Linear seed terms are protected: within the training range a
+            // hinge combination can replicate them (making them look
+            // redundant to GCV), but they are what keeps extrapolation
+            // slopes alive outside the range.
+            let removable: Vec<usize> = active
+                .iter()
+                .enumerate()
+                .filter(|(_, &idx)| {
+                    !(bases[idx].is_intercept()
+                        || (bases[idx].hinges().is_empty()
+                            && !bases[idx].linear_features().is_empty()))
+                })
+                .map(|(pos, _)| pos)
+                .collect();
+            let Some(&last) = removable.last() else {
+                break;
+            };
+            let mut prefixes = Vec::with_capacity(removable.len());
+            let mut running = QrBuilder::new(n, y)?;
+            for (pos, &idx) in active.iter().enumerate().take(last) {
+                if removable.contains(&pos) {
+                    prefixes.push(running.clone());
+                }
+                running.push_column(&design_cols[idx])?;
+            }
+            prefixes.push(running);
+            // Score every removal trial in parallel, then scan in order so
+            // ties resolve to the lowest position.
+            let scores: Vec<Result<f64, StatsError>> =
+                sidefp_parallel::map_indexed(removable.len(), |t| {
+                    let mut qr = prefixes[t].clone();
+                    for &idx in &active[removable[t] + 1..] {
+                        qr.push_column(&design_cols[idx])?;
+                    }
+                    Ok(Self::gcv(qr.rss(), n, active.len() - 1, penalty))
+                });
+            let mut round_best: Option<(usize, f64)> = None;
+            for (t, score) in scores.into_iter().enumerate() {
+                let g = score?;
+                if round_best.is_none_or(|(_, bg)| g < bg) {
+                    round_best = Some((removable[t], g));
+                }
+            }
+            let Some((remove_pos, g)) = round_best else {
+                break;
+            };
+            active.remove(remove_pos);
+            if g < best_gcv {
+                best_gcv = g;
+                best_active = active.clone();
+            }
+        }
+        Ok((best_active, best_gcv))
     }
 
     /// Column of basis values over all rows of `x`.
@@ -339,13 +371,6 @@ impl Mars {
         let n = y.len();
         let design = Matrix::from_fn(n, cols.len(), |i, j| cols[j][i]);
         Ok(design.qr()?.solve_least_squares(y)?)
-    }
-
-    /// Residual sum of squares of the least-squares fit on `cols`.
-    fn fit_rss(cols: &[&[f64]], y: &[f64]) -> Result<f64, StatsError> {
-        let n = y.len();
-        let design = Matrix::from_fn(n, cols.len(), |i, j| cols[j][i]);
-        Ok(design.qr()?.residual_sum_of_squares(y)?)
     }
 
     /// Friedman's generalized cross-validation score.
@@ -480,6 +505,8 @@ impl Regressor for Mars {
 mod tests {
     use super::*;
     use crate::descriptive;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn grid_1d(lo: f64, hi: f64, n: usize) -> Matrix {
         let step = (hi - lo) / (n - 1) as f64;
@@ -634,6 +661,103 @@ mod tests {
         let m = Mars::fit(&x, &y, &MarsConfig::default()).unwrap();
         assert!(m.bases()[0].is_intercept());
         assert_eq!(m.bases().len(), m.coefficients().len());
+    }
+
+    /// Backward pruning as it ran before trials shared their prefixes: a
+    /// fresh design and a full `Qr::new` for every trial, the initial GCV
+    /// included.
+    fn prune_by_refit(
+        bases: &[BasisFunction],
+        design_cols: &[Vec<f64>],
+        y: &[f64],
+        penalty: f64,
+    ) -> (Vec<usize>, f64) {
+        let n = y.len();
+        let rss = |active: &[usize]| {
+            Matrix::from_fn(n, active.len(), |i, j| design_cols[active[j]][i])
+                .qr()
+                .unwrap()
+                .residual_sum_of_squares(y)
+                .unwrap()
+        };
+        let mut active: Vec<usize> = (0..bases.len()).collect();
+        let mut best = (
+            active.clone(),
+            Mars::gcv(rss(&active), n, active.len(), penalty),
+        );
+        while active.len() > 1 {
+            let mut round_best: Option<(usize, f64)> = None;
+            for pos in 0..active.len() {
+                let basis = &bases[active[pos]];
+                if basis.is_intercept()
+                    || (basis.hinges().is_empty() && !basis.linear_features().is_empty())
+                {
+                    continue;
+                }
+                let mut trial = active.clone();
+                trial.remove(pos);
+                let g = Mars::gcv(rss(&trial), n, trial.len(), penalty);
+                if round_best.is_none_or(|(_, bg)| g < bg) {
+                    round_best = Some((pos, g));
+                }
+            }
+            let Some((pos, g)) = round_best else {
+                break;
+            };
+            active.remove(pos);
+            if g < best.1 {
+                best = (active.clone(), g);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn prefix_pruning_matches_full_refit_pruning_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let random = Matrix::from_fn(80, 3, |_, _| rng.random_range(-2.0..2.0));
+        // Columns 1 and 3 are equal, so their linear seed terms are too;
+        // column 4 is all zeros, so its seed column takes the zero-norm
+        // reflector branch in every trial that keeps it.
+        let duplicated = Matrix::from_fn(80, 5, |i, j| match j {
+            3 => random[(i, 1)],
+            4 => 0.0,
+            _ => random[(i, j)],
+        });
+        let target = |r: &[f64]| (2.0 * r[0]).sin() + r[1].abs() * r[2] + 0.1 * r[0] * r[1];
+        for x in [&random, &duplicated] {
+            let y: Vec<f64> = x.rows_iter().map(target).collect();
+            for config in [
+                MarsConfig::default(),
+                MarsConfig {
+                    max_interaction: 1,
+                    penalty: 2.0,
+                    ..Default::default()
+                },
+            ] {
+                let (bases, cols, full_rss) = Mars::forward(x, &y, &config).unwrap();
+                assert!(
+                    bases.len() > x.ncols() + 3,
+                    "forward pass added too few terms"
+                );
+                let (active, gcv) =
+                    Mars::prune(&bases, &cols, &y, config.penalty, full_rss).unwrap();
+                let (want_active, want_gcv) = prune_by_refit(&bases, &cols, &y, config.penalty);
+                assert_eq!(active, want_active);
+                assert_eq!(gcv.to_bits(), want_gcv.to_bits());
+
+                let model = Mars::fit(x, &y, &config).unwrap();
+                let want_cols: Vec<&[f64]> =
+                    want_active.iter().map(|&i| cols[i].as_slice()).collect();
+                let want_coefficients = Mars::least_squares(&want_cols, &y).unwrap();
+                let want_bases: Vec<BasisFunction> =
+                    want_active.iter().map(|&i| bases[i].clone()).collect();
+                assert_eq!(model.bases(), want_bases.as_slice());
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(model.coefficients()), bits(&want_coefficients));
+                assert_eq!(model.gcv.to_bits(), want_gcv.to_bits());
+            }
+        }
     }
 
     #[test]

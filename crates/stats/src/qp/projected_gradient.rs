@@ -153,39 +153,55 @@ pub fn solve_box_band_detailed(
         }));
     }
     let n = k.nrows();
-    // Sparse gradient: while at most half of β is nonzero, `Kβ` is built
-    // from the rows of the nonzero weights only, in ascending order. For a
-    // finite, bitwise-symmetric K this adds the same nonzero terms in the
-    // same order as `matvec_into`, and every skipped term is `K_ij·0 = ±0`,
-    // which cannot change an accumulator that started at `+0.0`. The
-    // dense tail rows (`n % 4`) start their sum at `−0.0`, so a component
-    // may differ there only in the sign of an exact zero, which the update
-    // `β_i − step·g_i` erases because β never holds `−0.0`. The trajectory
-    // is therefore bit-identical. An infinite entry would make a skipped
-    // `inf·0` a NaN, and an asymmetric K would read the wrong entries, so
-    // either keeps the dense product throughout.
-    let sparse_ok = (0..n).all(|i| {
+    // Fused column product: `Kβ` is built as `out = 0`, then
+    // `out += β_j·K_j` for each nonzero `β_j` in ascending `j`, four rows
+    // per pass over `out`. For a finite, bitwise-symmetric K each
+    // component adds the same nonzero terms in the same order as
+    // `matvec_into`, and every skipped term is `K_ij·0 = ±0`, which cannot
+    // change an accumulator that started at `+0.0`. The dense tail rows
+    // (`n % 4`) start their sum at `−0.0`, so a component may differ there
+    // only in the sign of an exact zero, which the update `β_i − step·g_i`
+    // erases because β never holds `−0.0`. The trajectory is therefore
+    // bit-identical. An infinite entry would make a skipped `inf·0` a NaN,
+    // and an asymmetric K would read the wrong entries, so either keeps
+    // `matvec_into` throughout.
+    let fused_ok = (0..n).all(|i| {
         (0..=i).all(|j| k[(i, j)].is_finite() && k[(i, j)].to_bits() == k[(j, i)].to_bits())
     });
+    let mut nonzero = Vec::with_capacity(n);
     solve_box_band_core(
         n,
         |beta, out| {
-            let nonzero = beta.iter().filter(|b| **b != 0.0).count();
-            if !sparse_ok || 2 * nonzero > n {
+            if !fused_ok {
                 return Ok(k.matvec_into(beta, out)?);
             }
-            out.fill(0.0);
-            for (j, &bj) in beta.iter().enumerate() {
-                if bj != 0.0 {
-                    sidefp_linalg::vecops::axpy_mut(out, bj, k.row(j));
-                }
-            }
+            nonzero.clear();
+            nonzero.extend((0..n).filter(|&j| beta[j] != 0.0));
+            fused_column_product(k, beta, &nonzero, out);
             Ok(())
         },
         gershgorin_bound(k),
         kappa,
         config,
     )
+}
+
+/// `out = Σ_j β_j·K_j` over the rows `j` listed in `rows` (ascending),
+/// four rows per pass over `out`. Each element receives the same adds in
+/// the same order as one `axpy_mut` per row.
+fn fused_column_product(k: &Matrix, beta: &[f64], rows: &[usize], out: &mut [f64]) {
+    out.fill(0.0);
+    let mut quads = rows.chunks_exact(4);
+    for q in &mut quads {
+        let (b0, b1, b2, b3) = (beta[q[0]], beta[q[1]], beta[q[2]], beta[q[3]]);
+        let (r0, r1, r2, r3) = (k.row(q[0]), k.row(q[1]), k.row(q[2]), k.row(q[3]));
+        for ((((o, a0), a1), a2), a3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *o = *o + b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3;
+        }
+    }
+    for &j in quads.remainder() {
+        sidefp_linalg::vecops::axpy_mut(out, beta[j], k.row(j));
+    }
 }
 
 /// Gershgorin bound on the spectral radius of `k` (its largest absolute
@@ -237,10 +253,10 @@ pub fn solve_box_band_lowrank(
 }
 
 /// Shared projected-gradient loop behind the dense and low-rank entry
-/// points. `matvec` computes `K β` into its output slice; the dense path
-/// routes it through [`Matrix::matvec_into`] unchanged, which keeps that
-/// path's floating-point trajectory bit-identical to the historical
-/// implementation.
+/// points. `matvec` computes `K β` into its output slice; the dense path's
+/// fused column product is bit-identical to [`Matrix::matvec_into`],
+/// which keeps that path's floating-point trajectory that of the
+/// historical implementation.
 fn solve_box_band_core<F>(
     n: usize,
     mut matvec: F,
@@ -340,7 +356,7 @@ mod tests {
 
     /// The reference solve: the same loop with the dense `matvec_into` on
     /// every iteration. Also returns the first iterate with at most half
-    /// its weights nonzero, where the sparse gradient would engage.
+    /// its weights nonzero, from which the fused product skips most rows.
     fn dense_reference(
         k: &Matrix,
         kappa: &[f64],
@@ -430,12 +446,18 @@ mod tests {
         for n in [37, 100, 101, 102, 103] {
             let (k, kappa, cfg) = kmm_problem(n, 8.4, None, 42 + n as u64);
             let sparse = assert_matches_dense(&k, &kappa, &cfg);
-            assert!(sparse.is_some(), "n={n}: the sparse gradient never engaged");
+            assert!(
+                sparse.is_some(),
+                "n={n}: no iterate had half its weights zero"
+            );
         }
     }
 
     #[test]
-    fn near_shift_stays_dense_and_bit_identical() {
+    fn near_shift_dense_weights_fused_product_matches_matvec() {
+        // At a 1-sd shift every iterate keeps more than half its weights
+        // nonzero, so the fused column product runs over most rows of K on
+        // every iteration.
         let (k, kappa, cfg) = kmm_problem(100, 1.0, None, 7);
         assert_eq!(assert_matches_dense(&k, &kappa, &cfg), None);
     }
@@ -444,7 +466,7 @@ mod tests {
     fn asymmetric_kernel_falls_back_to_dense_product() {
         let (mut k, kappa, cfg) = kmm_problem(101, 8.4, None, 3);
         // Perturb K_ij between the second-largest (i) and largest (j)
-        // weight of the first sparse iterate, where a sparse gradient
+        // weight of the first sparse iterate, where a column product
         // reading the mirrored K_ji would see a different operator. A 1-ulp
         // nudge is usually absorbed by the update; doubling the entry is
         // not.

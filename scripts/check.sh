@@ -149,10 +149,16 @@ else
     # (Nyström / RFF / binned KDE) must stay inside their pinned
     # approx-vs-exact error bounds and thread-count bit-identity.
     cargo test -q -p sidefp-stats --test approx_accuracy
-    # Box-band QP smoke: the sparse-gradient solve must stay bit-identical
-    # to the dense `matvec_into` reference (beta bits, iterations,
+    # Box-band QP smoke: the fused column product must keep the solve
+    # bit-identical to the `matvec_into` reference (beta bits, iterations,
     # convergence flag and final delta).
     cargo test -q -p sidefp-stats --lib qp::projected_gradient
+    # MARS smoke: shared-prefix pruning must pick the same bases with the
+    # same coefficient and GCV bits as a pruning that refits every trial.
+    cargo test -q -p sidefp-stats --lib mars
+    # KDE sampler smoke: rows written in place must match the allocating
+    # reference sampler bit for bit at 1 and 2 workers.
+    cargo test -q -p sidefp-stats --lib kde::adaptive
     # Fit -> save -> load -> score smoke: the artifact codec must
     # round-trip byte-exactly and the loaded model must score
     # bit-identically to the in-process fit at any thread count.

@@ -87,9 +87,10 @@ fn full_experiment_identical_across_thread_counts() {
 }
 
 /// The paper-default run's KMM weights and QP health, pinned to the bits
-/// the dense projected-gradient solve produced before the sparse gradient
-/// existed: any later change to the KMM trajectory must update them on
-/// purpose. The bit-sum is the wrapping sum of every weight's `to_bits`.
+/// the projected-gradient solve produces with the dense `matvec_into`
+/// product; the fused column product reproduces them. Any later change to
+/// the KMM trajectory must update them on purpose. The bit-sum is the
+/// wrapping sum of every weight's `to_bits`.
 #[test]
 fn paper_default_kmm_weights_are_pinned() {
     let arts = PaperExperiment::new(ExperimentConfig::default())

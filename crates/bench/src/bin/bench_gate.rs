@@ -17,7 +17,6 @@ use std::process::ExitCode;
 use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
 
-const KERNEL_SPEEDUP_FLOOR: f64 = 5.0;
 const DRIFT_RATIO_FLOOR: f64 = 3.0;
 const AMORTIZATION_FLOOR: f64 = 100.0;
 const SCENARIO_MIN: usize = 12;
@@ -32,8 +31,7 @@ const FULL_STACK_DORMANT_CELL: &str = "power+iddt+delay+spectral/dormant/tt/pape
 /// One check per record: a summary if the record holds, else why not.
 type Check = fn(&Value) -> Result<String, String>;
 
-const CHECKS: [(&str, Check); 4] = [
-    ("BENCH_kernels.json", kernels),
+const CHECKS: [(&str, Check); 3] = [
     ("BENCH_drift.json", drift),
     ("BENCH_throughput.json", throughput),
     ("BENCH_scenarios.json", scenarios),
@@ -58,26 +56,6 @@ fn list<'a>(r: &'a Value, key: &str) -> Result<&'a [Value], String> {
         Value::List(items) => Ok(items),
         _ => Err(format!("`{key}` is not a list")),
     }
-}
-
-fn kernels(r: &Value) -> Result<String, String> {
-    let at_10k = |s: &&Value| s.get("n").and_then(Value::as_u64) == Some(10_000);
-    let row = list(r, "sizes")?.iter().find(at_10k);
-    let row = row.ok_or("no n=10000 row; regenerate with: kernels --json")?;
-    let ms = |key| num(row, key).map_err(|e| format!("n=10000 {e}"));
-    let (exact, dense) = (ms("ocsvm_exact_ms")?, ms("kde_dense_eval_ms")?);
-    let mut shown = Vec::new();
-    for (path, slow, fast) in [
-        ("nystrom", exact, "ocsvm_nystrom_ms"),
-        ("rff", exact, "ocsvm_rff_ms"),
-        ("binned kde", dense, "kde_binned_eval_ms"),
-    ] {
-        let x = slow / ms(fast)?;
-        let why = format!("n=10000 {path} {x:.1}x below the {KERNEL_SPEEDUP_FLOOR}x floor");
-        ensure(x >= KERNEL_SPEEDUP_FLOOR, why)?;
-        shown.push(format!("{path} {x:.1}x"));
-    }
-    Ok(format!("n=10000: {}", shown.join(", ")))
 }
 
 fn drift(r: &Value) -> Result<String, String> {
@@ -315,20 +293,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // The four cases the line-regex shell gate got wrong.
-
-    #[test]
-    fn null_kernel_timing_fails_naming_the_field() {
-        let r = edited("BENCH_kernels.json", |t| {
-            t.replacen(
-                "\"ocsvm_nystrom_ms\": 350.85",
-                "\"ocsvm_nystrom_ms\": null",
-                1,
-            )
-        });
-        let err = kernels(&r).unwrap_err();
-        assert!(err.contains("`ocsvm_nystrom_ms` is null"), "{err}");
-    }
+    // Three of the cases the line-regex shell gate got wrong.
 
     #[test]
     fn minified_drift_record_passes() {
@@ -473,7 +438,5 @@ mod tests {
         );
         let r = edited("BENCH_throughput.json", |t| t.replace("906.8", "99.0"));
         assert!(throughput(&r).is_err());
-        let r = edited("BENCH_kernels.json", |t| t.replace("406.56", "600.0"));
-        assert!(kernels(&r).unwrap_err().contains("rff"));
     }
 }

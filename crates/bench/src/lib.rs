@@ -13,8 +13,6 @@
 //!   `BENCH_seeds.json`,
 //! - `scenario-matrix` — channel stacks × Trojan suites × process corners;
 //!   writes `BENCH_scenarios.json`,
-//! - `kernels` — exact versus approximate kernel paths at large `n`;
-//!   writes `BENCH_kernels.json`,
 //! - `drift` — incremental recalibration versus full refit on a drifting
 //!   lot stream; writes `BENCH_drift.json`,
 //! - `throughput` — fit-once, score-many batch throughput; writes

@@ -1,20 +1,27 @@
 //! Steady-state allocation counts of the scoring hot loops.
 //!
 //! A counting global allocator bumps a process-wide counter on every
-//! `alloc`/`realloc`, so each test can assert how many heap blocks a
+//! `alloc`/`realloc`, so each case can assert how many heap blocks a
 //! warm loop requested. The allocator lives only in this test binary, so
 //! no timed process pays for the counter. The counter also sees worker
-//! threads, so the tests hold one lock from set-up to assertion: it sees
-//! one loop at a time.
+//! threads, which the packed-GEMM case needs, so nothing else may run
+//! while a case measures: the binary has its own `main` (`harness =
+//! false`) and runs the cases one after another on the main thread, with
+//! no test-runner thread alive to allocate inside a measured window.
 //!
 //! ```text
 //! cargo test -p sidefp-bench --test steady_state_allocs                # KDE, OCSVM, score_into, sampler
 //! cargo test -p sidefp-bench --test steady_state_allocs -- --ignored   # packed GEMM
 //! ```
+//!
+//! `--include-ignored` runs all five cases and `--list` lists them. Name
+//! filters, `--exact` and `--skip` select cases as they do for a libtest
+//! binary; other libtest flags are accepted and ignored.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{self, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -49,14 +56,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Holds the counter for one test; a test that failed while holding it
-/// leaves nothing behind that the next one could trip on.
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Heap blocks requested by the second run of `pass`. The first run is
 /// not counted: it warms every workspace pool the loop touches.
 fn steady_state_blocks(mut pass: impl FnMut()) -> u64 {
@@ -74,9 +73,7 @@ fn data_and_queries() -> (Matrix, Matrix) {
     (data, queries)
 }
 
-#[test]
 fn kde_density_rows_request_no_heap_blocks() {
-    let _serial = serial();
     let (data, queries) = data_and_queries();
     let kde = AdaptiveKde::fit(&data, &KdeConfig::default()).unwrap();
     let mut ws = Workspace::new();
@@ -89,9 +86,7 @@ fn kde_density_rows_request_no_heap_blocks() {
     assert_eq!(blocks, 0, "steady-state kde.density_rows heap blocks");
 }
 
-#[test]
 fn ocsvm_decision_rows_request_no_heap_blocks() {
-    let _serial = serial();
     let (data, queries) = data_and_queries();
     let config = OneClassSvmConfig {
         nu: 0.1,
@@ -110,9 +105,7 @@ fn ocsvm_decision_rows_request_no_heap_blocks() {
 
 /// The artifact-driven per-device scoring loop: fit once, then score 64
 /// devices one `score_into` call at a time.
-#[test]
 fn score_into_requests_no_heap_blocks() {
-    let _serial = serial();
     let model = FittedModel::fit(&sidefp_bench::smoke_sized(ExperimentConfig::default())).unwrap();
     let mut scorer = BatchScorer::new(&model);
     let (fps, _) = model.synthesize_batch(1, 64);
@@ -128,9 +121,7 @@ fn score_into_requests_no_heap_blocks() {
 /// KDE tail enhancement draws 10⁵ rows straight into the output matrix:
 /// at one worker the heap blocks of one `sample_matrix_streamed` call do
 /// not grow with the row count.
-#[test]
 fn kde_streamed_sampling_requests_no_heap_blocks_per_row() {
-    let _serial = serial();
     let (data, _) = data_and_queries();
     let kde = AdaptiveKde::fit(&data, &KdeConfig::default()).unwrap();
     let blocks = |rows: usize| {
@@ -152,10 +143,7 @@ fn kde_streamed_sampling_requests_no_heap_blocks_per_row() {
 /// The packed-GEMM panel buffers live in a thread-local workspace: once a
 /// shape has been through it, repeated products into a caller-owned
 /// output should request no heap blocks.
-#[test]
-#[ignore = "ROADMAP item 4: over 100 blocks at 2 workers; scoped threads start with cold GEMM workspaces"]
 fn packed_gemm_requests_no_heap_blocks() {
-    let _serial = serial();
     let a = Matrix::from_fn(96, 80, |i, j| (i as f64 - j as f64) * 0.01);
     let b = Matrix::from_fn(80, 72, |i, j| (i + 2 * j) as f64 * 0.005);
     let mut out = Matrix::zeros(96, 72);
@@ -165,4 +153,145 @@ fn packed_gemm_requests_no_heap_blocks() {
         }
     });
     assert_eq!(blocks, 0, "steady-state packed GEMM heap blocks");
+}
+
+/// One case: its name, its body and, for a case that runs only under
+/// `--ignored` or `--include-ignored`, why.
+struct Case {
+    name: &'static str,
+    run: fn(),
+    ignored: Option<&'static str>,
+}
+
+const CASES: [Case; 5] = [
+    Case {
+        name: "kde_density_rows_request_no_heap_blocks",
+        run: kde_density_rows_request_no_heap_blocks,
+        ignored: None,
+    },
+    Case {
+        name: "ocsvm_decision_rows_request_no_heap_blocks",
+        run: ocsvm_decision_rows_request_no_heap_blocks,
+        ignored: None,
+    },
+    Case {
+        name: "score_into_requests_no_heap_blocks",
+        run: score_into_requests_no_heap_blocks,
+        ignored: None,
+    },
+    Case {
+        name: "kde_streamed_sampling_requests_no_heap_blocks_per_row",
+        run: kde_streamed_sampling_requests_no_heap_blocks_per_row,
+        ignored: None,
+    },
+    Case {
+        name: "packed_gemm_requests_no_heap_blocks",
+        run: packed_gemm_requests_no_heap_blocks,
+        ignored: Some(
+            "over 100 blocks at 2 workers; scoped threads start with cold GEMM workspaces",
+        ),
+    },
+];
+
+/// The libtest command line, as far as this binary needs it.
+#[derive(Default)]
+struct Options {
+    ignored: bool,
+    include_ignored: bool,
+    list: bool,
+    exact: bool,
+    filters: Vec<String>,
+    skip: Vec<String>,
+}
+
+impl Options {
+    fn parse(mut args: impl Iterator<Item = String>) -> Options {
+        // libtest flags whose value may follow as a separate argument.
+        const VALUED: [&str; 6] = [
+            "--test-threads",
+            "--color",
+            "--format",
+            "--logfile",
+            "--shuffle-seed",
+            "-Z",
+        ];
+        let mut o = Options::default();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--ignored" => o.ignored = true,
+                "--include-ignored" => o.include_ignored = true,
+                "--list" => o.list = true,
+                "--exact" => o.exact = true,
+                "--skip" => o.skip.extend(args.next()),
+                flag if VALUED.contains(&flag) => {
+                    args.next();
+                }
+                flag if flag.starts_with('-') => {}
+                _ => o.filters.push(arg),
+            }
+        }
+        o
+    }
+
+    fn matches(&self, pattern: &str, name: &str) -> bool {
+        if self.exact {
+            name == pattern
+        } else {
+            name.contains(pattern)
+        }
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        (self.filters.is_empty() || self.filters.iter().any(|f| self.matches(f, name)))
+            && !self.skip.iter().any(|s| self.matches(s, name))
+    }
+}
+
+fn main() -> ExitCode {
+    let o = Options::parse(std::env::args().skip(1));
+    // `--ignored` alone keeps only the ignored cases, as libtest does.
+    let only_ignored = o.ignored && !o.include_ignored;
+    let selected: Vec<&Case> = CASES
+        .iter()
+        .filter(|c| o.selects(c.name) && (!only_ignored || c.ignored.is_some()))
+        .collect();
+    let filtered_out = CASES.len() - selected.len();
+    if o.list {
+        for case in &selected {
+            println!("{}: test", case.name);
+        }
+        return ExitCode::SUCCESS;
+    }
+    let plural = if selected.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", selected.len());
+    let (mut passed, mut ignored, mut failed) = (0, 0, Vec::new());
+    for case in selected {
+        if let (Some(why), false) = (case.ignored, o.ignored || o.include_ignored) {
+            println!("test {} ... ignored, {why}", case.name);
+            ignored += 1;
+        } else if panic::catch_unwind(AssertUnwindSafe(case.run)).is_ok() {
+            println!("test {} ... ok", case.name);
+            passed += 1;
+        } else {
+            println!("test {} ... FAILED", case.name);
+            failed.push(case.name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    let verdict = if failed.is_empty() { "ok" } else { "FAILED" };
+    println!(
+        "\ntest result: {verdict}. {passed} passed; {} failed; {ignored} ignored; \
+         0 measured; {filtered_out} filtered out\n",
+        failed.len()
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(101)
+    }
 }

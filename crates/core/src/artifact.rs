@@ -50,8 +50,7 @@ use sidefp_linalg::Matrix;
 use sidefp_stats::descriptive;
 use sidefp_stats::kde::AdaptiveKde;
 use sidefp_stats::{
-    KdeState, Kernel, OneClassSvm, RegressorState, ScalerState, StandardScaler, SvmDecisionState,
-    SvmState,
+    KdeState, Kernel, OneClassSvm, RegressorState, ScalerState, StandardScaler, SvmState,
 };
 
 use crate::boundary::TrustedBoundary;
@@ -71,6 +70,10 @@ pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Byte count of the fixed header (magic + version + payload length).
 const HEADER_LEN: usize = 4 + 4 + 8;
+
+/// Tag byte written before an SVM's support-vector expansion. It is the
+/// only decision form; any other tag is rejected as invalid.
+const SVM_EXPANSION_TAG: u8 = 0;
 
 /// The five trusted-boundary names, in artifact order.
 const BOUNDARY_NAMES: [&str; 5] = ["B1", "B2", "B3", "B4", "B5"];
@@ -818,25 +821,10 @@ fn encode_svm(w: &mut Writer, s: &SvmState) {
     w.usize(s.solve_iterations);
     encode_kernel(w, &s.kernel);
     w.f64s(&s.dual_alpha);
-    match &s.decision {
-        SvmDecisionState::Expansion { points, coeffs } => {
-            w.u8(0);
-            w.matrix(points);
-            w.f64s(coeffs);
-        }
-        SvmDecisionState::RandomFeatures {
-            omega,
-            offsets,
-            scale,
-            w: weights,
-        } => {
-            w.u8(1);
-            w.matrix(omega);
-            w.f64s(offsets);
-            w.f64(*scale);
-            w.f64s(weights);
-        }
-    }
+    // A single form needs no tag; the byte keeps version 2's layout.
+    w.u8(SVM_EXPANSION_TAG);
+    w.matrix(&s.points);
+    w.f64s(&s.coeffs);
 }
 
 fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
@@ -847,25 +835,17 @@ fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
     let solve_iterations = r.usize()?;
     let kernel = decode_kernel(r)?;
     let dual_alpha = r.f64s()?;
-    let decision = match r.u8()? {
-        0 => SvmDecisionState::Expansion {
-            points: r.matrix()?,
-            coeffs: r.f64s()?,
-        },
-        1 => SvmDecisionState::RandomFeatures {
-            omega: r.matrix()?,
-            offsets: r.f64s()?,
-            scale: r.f64()?,
-            w: r.f64s()?,
-        },
-        t => {
-            return Err(ArtifactError::Invalid {
-                what: format!("unknown SVM decision tag {t}"),
-            })
-        }
-    };
+    let tag = r.u8()?;
+    if tag != SVM_EXPANSION_TAG {
+        return Err(ArtifactError::Invalid {
+            what: format!("unknown SVM decision tag {tag}"),
+        });
+    }
+    let points = r.matrix()?;
+    let coeffs = r.f64s()?;
     Ok(SvmState {
-        decision,
+        points,
+        coeffs,
         rho,
         kernel,
         input_dim,
@@ -1085,6 +1065,37 @@ mod tests {
             FittedModel::from_bytes(&trailing).unwrap_err(),
             ArtifactError::Invalid { .. }
         ));
+    }
+
+    /// Tag 1 once named a random-Fourier-feature decision map. No fit
+    /// writes it any more, so a checksum-consistent artifact carrying it
+    /// must fail with a typed error, not a panic or a misparse.
+    #[test]
+    fn retired_svm_decision_tag_is_rejected_typed() {
+        let model = tiny_model();
+        let bytes = model.to_bytes();
+        let svm = model.boundaries()[0].svm().export_state();
+        let mut w = Writer::default();
+        encode_svm(&mut w, &svm);
+        let tail = 16 + 8 * svm.points.as_slice().len() + 8 + 8 * svm.coeffs.len();
+        let tag_in_svm = w.buf.len() - tail - 1;
+        assert_eq!(w.buf[tag_in_svm], SVM_EXPANSION_TAG);
+        let at = bytes
+            .windows(w.buf.len())
+            .position(|win| win == w.buf.as_slice())
+            .expect("B1's SVM encoding is in the artifact");
+
+        let mut retired = bytes.clone();
+        retired[at + tag_in_svm] = 1;
+        let end = retired.len() - 8;
+        let check = fnv1a64(&retired[HEADER_LEN..end]);
+        retired[end..].copy_from_slice(&check.to_le_bytes());
+        assert_eq!(
+            FittedModel::from_bytes(&retired).unwrap_err(),
+            ArtifactError::Invalid {
+                what: "unknown SVM decision tag 1".into()
+            }
+        );
     }
 
     #[test]

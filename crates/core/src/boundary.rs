@@ -97,8 +97,8 @@ impl TrustedBoundary {
     /// — pass a tight budget first and inspect
     /// [`TrustedBoundary::solve_iterations`] to detect exhaustion before
     /// escalating to the full budget. Falls back to a cold start (still
-    /// within `max_iter`) when the shapes differ or the current solve used
-    /// an approximation path that keeps no dual vector.
+    /// within `max_iter`) when the new training set's row count differs
+    /// from the length of the current dual vector.
     ///
     /// # Errors
     ///
@@ -159,7 +159,6 @@ impl TrustedBoundary {
         let svm_config = OneClassSvmConfig {
             nu: config.nu,
             kernel,
-            approx: config.approx,
             max_iter,
             ..Default::default()
         };
@@ -343,7 +342,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sidefp_stats::{KernelApprox, MultivariateNormal};
+    use sidefp_stats::MultivariateNormal;
 
     fn blob(center: f64, n: usize, seed: u64) -> Matrix {
         let mvn = MultivariateNormal::independent(vec![center, center], &[1.0, 1.0]).unwrap();
@@ -520,20 +519,7 @@ mod tests {
             ..Default::default()
         };
         let b = TrustedBoundary::fit("B5", &blob(0.0, 10_000, 31), &cfg, 31).unwrap();
-        assert!(!b.svm().dual_alpha().is_empty(), "expected the exact path");
         assert_blocked_scoring_matches_pointwise(&b, &blob(0.3, 10_000, 32));
-    }
-
-    #[test]
-    fn batched_rff_boundary_matches_pointwise_bitwise() {
-        let cfg = BoundaryConfig {
-            train_cap: 400,
-            approx: KernelApprox::Rff { features: 128 },
-            ..Default::default()
-        };
-        let b = TrustedBoundary::fit("B5", &blob(0.0, 10_000, 33), &cfg, 33).unwrap();
-        assert!(b.svm().dual_alpha().is_empty(), "expected the RFF path");
-        assert_blocked_scoring_matches_pointwise(&b, &blob(0.3, 10_000, 34));
     }
 
     /// An over-cap fit (the B2/B5 shape: subsampled to `train_cap`) pinned

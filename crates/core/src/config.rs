@@ -13,7 +13,7 @@ use sidefp_stats::knn::KnnConfig;
 use sidefp_stats::mars::MarsConfig;
 use sidefp_stats::ridge::RidgeConfig;
 use sidefp_stats::DetectionLabel;
-use sidefp_stats::{KernelApprox, KmmConfig};
+use sidefp_stats::KmmConfig;
 
 use crate::stages::sanitize::SanitizerConfig;
 use crate::CoreError;
@@ -109,12 +109,6 @@ pub struct BoundaryConfig {
     /// KDE samples) are uniformly subsampled to this size, which preserves
     /// the distribution while keeping the O(n²) solver tractable.
     pub train_cap: usize,
-    /// Kernel evaluation strategy for the SVM solve. The default
-    /// [`KernelApprox::Auto`] keeps populations within the exact-path
-    /// threshold on exact Gram rows (value-identical to previous
-    /// releases) and switches to sub-quadratic low-rank approximations
-    /// above it — the knob to raise `train_cap` by orders of magnitude.
-    pub approx: KernelApprox,
 }
 
 impl Default for BoundaryConfig {
@@ -123,7 +117,6 @@ impl Default for BoundaryConfig {
             nu: 0.05,
             gamma: None,
             train_cap: 1500,
-            approx: KernelApprox::Auto,
         }
     }
 }
@@ -325,13 +318,11 @@ impl Default for ExperimentConfig {
                 nu: 0.05,
                 gamma: None,
                 train_cap: 1500,
-                approx: KernelApprox::Auto,
             },
             enhanced_boundary: BoundaryConfig {
                 nu: 0.05,
                 gamma: Some(0.5),
                 train_cap: 1500,
-                approx: KernelApprox::Auto,
             },
             kde: KdeConfig {
                 bandwidth: Some(0.35),
@@ -403,18 +394,6 @@ impl ExperimentConfig {
                     reason: format!("{name}: SVM needs at least 2 training points"),
                 });
             }
-            if let Err(e) = b.approx.validate() {
-                return Err(CoreError::InvalidConfig {
-                    name: "boundary.approx",
-                    reason: format!("{name}: {e}"),
-                });
-            }
-        }
-        if let Err(e) = self.kmm.approx.validate() {
-            return Err(CoreError::InvalidConfig {
-                name: "kmm.approx",
-                reason: format!("{e}"),
-            });
         }
         if self.amplitude_delta < 0.0 || self.frequency_delta < 0.0 {
             return Err(CoreError::InvalidConfig {

@@ -2,7 +2,7 @@
 //!
 //! Every dominant stage of the fingerprinting pipeline bottoms out in a
 //! dense product of the form `A·Bᵀ` (kernel Gram matrices, pairwise
-//! distance matrices, low-rank feature embeddings). This module computes
+//! distance matrices, the SVM decision expansion). This module computes
 //! those products the way a BLAS does — operands are repacked into
 //! cache-blocked, contiguous panels and consumed by a 4×4 register
 //! micro-kernel — and then goes one step further: an [`Epilogue`] hook

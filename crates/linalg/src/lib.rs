@@ -37,7 +37,6 @@ mod cholesky;
 mod eigen;
 mod error;
 pub mod gemm;
-pub mod lowrank;
 mod lu;
 mod matrix;
 mod qr;
@@ -51,5 +50,5 @@ pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::{Qr, QrBuilder};
-pub use recover::{cholesky_ridged, lu_ridged, Escalation, Recovered};
+pub use recover::{cholesky_ridged, Escalation, Recovered};
 pub use workspace::Workspace;

@@ -11,7 +11,7 @@
 //! The first attempt always runs on the unmodified matrix, so healthy inputs
 //! produce bit-identical results to calling the factorization directly.
 
-use crate::{Cholesky, LinalgError, Lu, Matrix};
+use crate::{Cholesky, LinalgError, Matrix};
 
 /// Escalation policy for ridge-jitter retries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,39 +95,6 @@ pub fn cholesky_ridged(
     Err(first)
 }
 
-/// LU with bounded ridge-jitter retries (rescues singular matrices).
-///
-/// # Errors
-///
-/// Returns the *first* attempt's error if every escalation fails (shape
-/// errors never retry; only [`LinalgError::Singular`] does).
-pub fn lu_ridged(a: &Matrix, policy: &Escalation) -> Result<Recovered<Lu>, LinalgError> {
-    let first = match Lu::new(a) {
-        Ok(l) => {
-            return Ok(Recovered {
-                value: l,
-                retries: 0,
-                ridge: 0.0,
-            })
-        }
-        Err(e @ LinalgError::Singular) => e,
-        Err(e) => return Err(e),
-    };
-    let scale = scale_of(a);
-    let mut tau = policy.initial * scale;
-    for k in 1..=policy.retries {
-        if let Ok(l) = Lu::new(&ridged(a, tau)) {
-            return Ok(Recovered {
-                value: l,
-                retries: k,
-                ridge: tau,
-            });
-        }
-        tau *= policy.growth;
-    }
-    Err(first)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,26 +139,5 @@ mod tests {
             cholesky_ridged(&a, &Escalation::default()),
             Err(LinalgError::NotSquare { .. })
         ));
-        assert!(matches!(
-            lu_ridged(&a, &Escalation::default()),
-            Err(LinalgError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
-    fn singular_lu_is_rescued() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(a.lu().is_err());
-        let rec = lu_ridged(&a, &Escalation::default()).unwrap();
-        assert!(rec.retries >= 1);
-        let x = rec.value.solve(&[1.0, 2.0]).unwrap();
-        assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn healthy_lu_is_untouched() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let rec = lu_ridged(&a, &Escalation::default()).unwrap();
-        assert_eq!(rec.retries, 0);
     }
 }

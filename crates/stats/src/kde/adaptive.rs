@@ -196,36 +196,12 @@ impl AdaptiveKde {
     }
 
     /// One adaptive kernel term `K_e((x − z_i)/(h·λ_i)) / (h·λ_i)^d`, the
-    /// shared summand of every adaptive scoring path (including the binned
-    /// evaluator, which must sum the very same terms).
+    /// shared summand of every adaptive scoring path.
     #[inline]
-    pub(super) fn adaptive_term(&self, i: usize, zx: &[f64]) -> f64 {
+    fn adaptive_term(&self, i: usize, zx: &[f64]) -> f64 {
         let hl = self.bandwidth * self.lambdas[i];
         let t2 = sq_radius_capped(self.z.row(i), zx, 1.0 / hl);
         self.kernel.density_from_sq_radius(t2) / self.hl_pow_d[i]
-    }
-
-    /// Observation `i` in z-space (for the binned evaluator's spatial index).
-    #[inline]
-    pub(super) fn z_row(&self, i: usize) -> &[f64] {
-        self.z.row(i)
-    }
-
-    /// Kernel support radius `h·λ_i` of observation `i` in z-space.
-    #[inline]
-    pub(super) fn kernel_radius(&self, i: usize) -> f64 {
-        self.bandwidth * self.lambdas[i]
-    }
-
-    /// Standardizes one query point into z-space.
-    pub(super) fn transform_query(&self, x: &[f64]) -> Result<Vec<f64>, StatsError> {
-        self.scaler.transform_sample(x)
-    }
-
-    /// Density Jacobian of the standardization.
-    #[inline]
-    pub(super) fn jacobian(&self) -> f64 {
-        self.jacobian
     }
 
     /// Dimension of the fitted data.

@@ -30,9 +30,7 @@
 //! ```
 
 mod adaptive;
-mod binned;
 mod kernel;
 
 pub use adaptive::{AdaptiveKde, KdeConfig};
-pub use binned::BinnedKde;
 pub use kernel::Epanechnikov;

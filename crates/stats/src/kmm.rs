@@ -1,8 +1,7 @@
-use sidefp_linalg::{vecops, Matrix};
+use sidefp_linalg::Matrix;
 use sidefp_obs::RunContext;
 
-use crate::approx::{self, KernelApprox, KernelFeatureMap};
-use crate::qp::{solve_box_band_detailed, solve_box_band_lowrank, BoxBandConfig};
+use crate::qp::{solve_box_band_detailed, BoxBandConfig};
 use crate::{check_finite_matrix, descriptive, GramMatrix, Kernel, StatsError};
 
 /// Relaxation factor for accepting a best-effort QP iterate: a final step
@@ -22,11 +21,6 @@ pub struct KmmConfig {
     pub band: Option<f64>,
     /// Iteration budget for the projected-gradient QP.
     pub max_iter: usize,
-    /// Kernel evaluation strategy: exact Gram matrices, or a sub-quadratic
-    /// low-rank approximation. The default [`KernelApprox::Auto`] keeps
-    /// populations up to [`KernelApprox::AUTO_EXACT_LIMIT`] training rows
-    /// on the exact path, so existing pipelines are value-identical.
-    pub approx: KernelApprox,
 }
 
 impl Default for KmmConfig {
@@ -36,7 +30,6 @@ impl Default for KmmConfig {
             upper: 1000.0,
             band: None,
             max_iter: 4000,
-            approx: KernelApprox::Auto,
         }
     }
 }
@@ -72,20 +65,10 @@ impl Default for KmmConfig {
 pub struct KernelMeanMatching {
     weights: Vec<f64>,
     train: Matrix,
-    /// Kernel representation cached from fitting so diagnostics like
-    /// [`KernelMeanMatching::mmd_objective`] never recompute the pairwise
-    /// kernels.
-    backing: KmmBacking,
-}
-
-/// Kernel state a fitted KMM keeps for post-fit diagnostics.
-#[derive(Debug, Clone)]
-enum KmmBacking {
-    /// The full train-side Gram matrix (exact path).
-    Exact(GramMatrix),
-    /// The low-rank feature map (Nyström / RFF path); the train-side
-    /// features `Φ` stand in for the Gram matrix as `K ≈ ΦΦᵀ`.
-    LowRank(KernelFeatureMap),
+    /// The train-side Gram matrix cached from fitting so re-weighting and
+    /// diagnostics like [`KernelMeanMatching::mmd_objective`] never
+    /// recompute the pairwise kernels.
+    gram: GramMatrix,
 }
 
 impl KernelMeanMatching {
@@ -159,7 +142,6 @@ impl KernelMeanMatching {
                 Kernel::rbf_median_heuristic(&pooled)?
             }
         };
-        config.approx.validate()?;
 
         let ratio = ntr as f64 / nte as f64;
         let band = config
@@ -172,49 +154,14 @@ impl KernelMeanMatching {
             tol: 1e-7,
         };
 
-        // Route the QP: exact Gram matrices, or the low-rank factorization
-        // K ≈ ΦΦᵀ with O(n·rank) mat-vecs instead of O(n²). The low-rank
-        // seed is forked off the OCSVM's fit-seed stream so the two solvers
-        // never share feature draws.
-        let seed = sidefp_parallel::fork_seed(approx::approx_fit_seed(ntr), 1);
-        let map = match config.approx.resolve(ntr, &kernel) {
-            KernelApprox::Nystrom { rank } => {
-                Some(KernelFeatureMap::nystrom(kernel, train, rank, seed)?)
-            }
-            KernelApprox::Rff { features } => {
-                Some(KernelFeatureMap::rff(kernel, train, features, seed)?)
-            }
-            _ => None,
-        };
-        let (sol, backing) = match map {
-            Some(map) => {
-                // κ_i = ratio · ⟨φ_i, Σ_j φ(z_j)⟩ — the approximate form of
-                // paper Eq. 4's test-kernel sums, O(n·rank) to assemble.
-                let phi_te = map.embed_rows(test)?;
-                let mut s_te = vec![0.0; map.feature_count()];
-                for row in phi_te.rows_iter() {
-                    vecops::axpy_mut(&mut s_te, 1.0, row);
-                }
-                let phi_tr = map.features();
-                let s_ref = &s_te;
-                let kappa: Vec<f64> = sidefp_parallel::map_indexed(ntr, |i| {
-                    ratio * vecops::dot(phi_tr.row(i), s_ref)
-                });
-                let sol = solve_box_band_lowrank(phi_tr, &kappa, &qp_cfg)?;
-                (sol, KmmBacking::LowRank(map))
-            }
-            None => {
-                // K_ij = k(x_i^tr, x_j^tr) — computed once by the shared
-                // parallel engine and kept for post-fit diagnostics.
-                let train_gram = GramMatrix::symmetric(kernel, train);
-                // κ_i = (n_tr / n_te) Σ_j k(x_i^tr, x_j^te)  (paper Eq. 4)
-                let cross = GramMatrix::cross(kernel, train, test)?;
-                let kappa: Vec<f64> =
-                    sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
-                let sol = solve_box_band_detailed(train_gram.matrix(), &kappa, &qp_cfg)?;
-                (sol, KmmBacking::Exact(train_gram))
-            }
-        };
+        // K_ij = k(x_i^tr, x_j^tr) — computed once by the shared parallel
+        // engine and kept for re-weighting and post-fit diagnostics.
+        let gram = GramMatrix::symmetric(kernel, train);
+        // κ_i = (n_tr / n_te) Σ_j k(x_i^tr, x_j^te)  (paper Eq. 4)
+        let cross = GramMatrix::cross(kernel, train, test)?;
+        let kappa: Vec<f64> =
+            sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
+        let sol = solve_box_band_detailed(gram.matrix(), &kappa, &qp_cfg)?;
         if !sol.converged {
             // Best-effort weights: record how rough the final step still was
             // so RunHealth surfaces the fallback instead of hiding it.
@@ -231,17 +178,17 @@ impl KernelMeanMatching {
         Ok(KernelMeanMatching {
             weights,
             train: train.clone(),
-            backing,
+            gram,
         })
     }
 
     /// Re-solves the importance weights against an *updated* test
-    /// population, reusing the kernel representation cached at fit time.
+    /// population, reusing the train-side Gram matrix cached at fit time.
     ///
     /// This is the cheap re-weighting path for drifted operating points:
-    /// the train-side Gram matrix (or low-rank feature map) — the dominant
-    /// fit cost — is kept verbatim, and only the train×test cross block and
-    /// the QP re-solve run fresh. The kernel stays whatever the original
+    /// the train-side Gram matrix — the dominant fit cost — is kept
+    /// verbatim, and only the train×test cross block and the QP re-solve
+    /// run fresh. The kernel stays whatever the original
     /// fit selected (including a median-heuristic choice), so the weights
     /// are exactly what [`KernelMeanMatching::fit_observed`] would produce
     /// for the new test set with that kernel pinned.
@@ -285,27 +232,10 @@ impl KernelMeanMatching {
             max_iter: config.max_iter,
             tol: 1e-7,
         };
-        let sol = match &self.backing {
-            KmmBacking::Exact(gram) => {
-                let cross = GramMatrix::cross(gram.kernel(), &self.train, test)?;
-                let kappa: Vec<f64> =
-                    sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
-                solve_box_band_detailed(gram.matrix(), &kappa, &qp_cfg)?
-            }
-            KmmBacking::LowRank(map) => {
-                let phi_te = map.embed_rows(test)?;
-                let mut s_te = vec![0.0; map.feature_count()];
-                for row in phi_te.rows_iter() {
-                    vecops::axpy_mut(&mut s_te, 1.0, row);
-                }
-                let phi_tr = map.features();
-                let s_ref = &s_te;
-                let kappa: Vec<f64> = sidefp_parallel::map_indexed(ntr, |i| {
-                    ratio * vecops::dot(phi_tr.row(i), s_ref)
-                });
-                solve_box_band_lowrank(phi_tr, &kappa, &qp_cfg)?
-            }
-        };
+        let cross = GramMatrix::cross(self.gram.kernel(), &self.train, test)?;
+        let kappa: Vec<f64> =
+            sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
+        let sol = solve_box_band_detailed(self.gram.matrix(), &kappa, &qp_cfg)?;
         if !sol.converged {
             if sol.final_delta <= QP_RELAXED_FACTOR * qp_cfg.tol {
                 obs.record_qp_relaxed();
@@ -326,20 +256,14 @@ impl KernelMeanMatching {
 
     /// The kernel used for matching (after any median-heuristic selection).
     pub fn kernel(&self) -> Kernel {
-        match &self.backing {
-            KmmBacking::Exact(gram) => gram.kernel(),
-            KmmBacking::LowRank(map) => map.kernel(),
-        }
+        self.gram.kernel()
     }
 
     /// Weighted maximum-mean-discrepancy objective value (lower is better);
     /// useful for diagnostics and ablations.
     ///
-    /// The train-side quadratic term reuses the kernel representation
-    /// cached at fit time (Gram matrix or low-rank features); only the
-    /// test-side and cross blocks are evaluated fresh. On the low-rank
-    /// path every term is computed in the approximate feature space, so
-    /// the value is the objective the fitted QP actually minimized.
+    /// The train-side quadratic term reuses the Gram matrix cached at fit
+    /// time; only the test-side and cross blocks are evaluated fresh.
     pub fn mmd_objective(&self, test: &Matrix) -> Result<f64, StatsError> {
         if test.ncols() != self.train.ncols() {
             return Err(StatsError::DimensionMismatch {
@@ -350,33 +274,13 @@ impl KernelMeanMatching {
         let ntr = self.train.nrows() as f64;
         let nte = test.nrows() as f64;
         // ‖(1/ntr)Σβ_iφ(x_i) − (1/nte)Σφ(z_j)‖² expanded in kernel terms.
-        let (term_tr, term_cross, term_te) = match &self.backing {
-            KmmBacking::Exact(gram) => {
-                let kernel = gram.kernel();
-                let term_tr = gram.weighted_quadratic(&self.weights);
-                let cross = GramMatrix::cross(kernel, &self.train, test)?;
-                let term_cross = sidefp_parallel::reduce_sum(self.train.nrows(), |i| {
-                    self.weights[i] * cross.row(i).iter().sum::<f64>()
-                });
-                let term_te = GramMatrix::symmetric(kernel, test).total_sum();
-                (term_tr, term_cross, term_te)
-            }
-            KmmBacking::LowRank(map) => {
-                // βᵀK̃β = ‖Φᵀβ‖², Σβ_i k̃(x_i, Z) = ⟨Φᵀβ, s⟩, ΣΣ k̃ = ‖s‖²
-                // with s the column sums of the embedded test rows.
-                let w_tr = map.features().vecmat(&self.weights)?;
-                let phi_te = map.embed_rows(test)?;
-                let mut s_te = vec![0.0; map.feature_count()];
-                for row in phi_te.rows_iter() {
-                    vecops::axpy_mut(&mut s_te, 1.0, row);
-                }
-                (
-                    vecops::sq_norm(&w_tr),
-                    vecops::dot(&w_tr, &s_te),
-                    vecops::sq_norm(&s_te),
-                )
-            }
-        };
+        let kernel = self.gram.kernel();
+        let term_tr = self.gram.weighted_quadratic(&self.weights);
+        let cross = GramMatrix::cross(kernel, &self.train, test)?;
+        let term_cross = sidefp_parallel::reduce_sum(self.train.nrows(), |i| {
+            self.weights[i] * cross.row(i).iter().sum::<f64>()
+        });
+        let term_te = GramMatrix::symmetric(kernel, test).total_sum();
         Ok(term_tr / (ntr * ntr) - 2.0 * term_cross / (ntr * nte) + term_te / (nte * nte))
     }
 
@@ -524,7 +428,7 @@ mod tests {
         let weighted = kmm.mmd_objective(&te).unwrap();
         let uniform = KernelMeanMatching {
             weights: vec![1.0; tr.nrows()],
-            backing: KmmBacking::Exact(GramMatrix::symmetric(kmm.kernel(), &tr)),
+            gram: GramMatrix::symmetric(kmm.kernel(), &tr),
             train: tr.clone(),
         }
         .mmd_objective(&te)
@@ -666,92 +570,6 @@ mod tests {
         assert!(kmm
             .reweight_observed(&bad, &KmmConfig::default(), &RunContext::new())
             .is_err());
-    }
-
-    #[test]
-    fn low_rank_paths_shift_mass_toward_test_region() {
-        let (tr, te) = shifted_sets(12);
-        for approx in [
-            KernelApprox::Nystrom { rank: 30 },
-            KernelApprox::Rff { features: 512 },
-        ] {
-            let cfg = KmmConfig {
-                approx,
-                ..Default::default()
-            };
-            let kmm = KernelMeanMatching::fit(&tr, &te, &cfg).unwrap();
-            let wmean = {
-                let total: f64 = kmm.weights().iter().sum();
-                tr.col(0)
-                    .iter()
-                    .zip(kmm.weights())
-                    .map(|(x, w)| x * w)
-                    .sum::<f64>()
-                    / total
-            };
-            let raw_mean = descriptive::mean(&tr.col(0)).unwrap();
-            let te_mean = descriptive::mean(&te.col(0)).unwrap();
-            assert!(
-                (wmean - te_mean).abs() < (raw_mean - te_mean).abs(),
-                "{approx:?}: weighted mean {wmean} not closer to {te_mean} than raw {raw_mean}"
-            );
-            // Post-fit diagnostics keep working on the low-rank backing.
-            assert!(kmm.mmd_objective(&te).unwrap().is_finite());
-        }
-    }
-
-    #[test]
-    fn full_rank_nystrom_weights_near_optimal_for_exact_objective() {
-        let (tr, te) = shifted_sets(13);
-        let exact = KernelMeanMatching::fit(&tr, &te, &KmmConfig::default()).unwrap();
-        // Rank = n_tr Nyström reproduces the Gram matrix (up to roundoff).
-        // The two QP trajectories stop at different near-optimal iterates
-        // (different Lipschitz estimates → step sizes), so compare by the
-        // exact MMD objective: the low-rank weights must score on par with
-        // the dense-path weights, both evaluated with exact kernels.
-        let cfg = KmmConfig {
-            approx: KernelApprox::Nystrom { rank: tr.nrows() },
-            ..Default::default()
-        };
-        let lowrank = KernelMeanMatching::fit(&tr, &te, &cfg).unwrap();
-        let exact_obj = exact.mmd_objective(&te).unwrap();
-        let lowrank_obj = KernelMeanMatching {
-            weights: lowrank.weights().to_vec(),
-            backing: KmmBacking::Exact(GramMatrix::symmetric(exact.kernel(), &tr)),
-            train: tr.clone(),
-        }
-        .mmd_objective(&te)
-        .unwrap();
-        assert!(
-            lowrank_obj <= exact_obj + 0.05 * exact_obj.abs().max(1e-6),
-            "low-rank weights score {lowrank_obj} vs exact {exact_obj}"
-        );
-    }
-
-    #[test]
-    fn low_rank_fit_bit_identical_across_thread_counts() {
-        let (tr, te) = shifted_sets(14);
-        let cfg = KmmConfig {
-            approx: KernelApprox::Rff { features: 128 },
-            ..Default::default()
-        };
-        let reference =
-            sidefp_parallel::with_threads(1, || KernelMeanMatching::fit(&tr, &te, &cfg).unwrap());
-        let wide =
-            sidefp_parallel::with_threads(8, || KernelMeanMatching::fit(&tr, &te, &cfg).unwrap());
-        for (a, b) in reference.weights().iter().zip(wide.weights()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn rejects_invalid_approx_config() {
-        let (tr, te) = shifted_sets(15);
-        let cfg = KmmConfig {
-            approx: KernelApprox::Rff { features: 0 },
-            ..Default::default()
-        };
-        assert!(KernelMeanMatching::fit(&tr, &te, &cfg).is_err());
     }
 
     #[test]

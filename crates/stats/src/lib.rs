@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-mod approx;
 pub mod bootstrap;
 pub mod descriptive;
 mod error;
@@ -71,7 +70,6 @@ pub mod roc;
 mod scaler;
 pub mod state;
 
-pub use approx::{KernelApprox, KernelFeatureMap, LowRankQ};
 pub use error::StatsError;
 // Re-export the per-run observability handle the `*_observed` solver entry
 // points take, so downstream crates need no direct sidefp-obs dependency.
@@ -88,7 +86,7 @@ pub use scaler::StandardScaler;
 pub use sidefp_obs::{RunContext, SolverHealth};
 pub use state::{
     regressor_from_state, KdeState, KnnState, MarsBasisState, MarsState, RegressorState,
-    RidgeState, ScalerState, SvmDecisionState, SvmState,
+    RidgeState, ScalerState, SvmState,
 };
 
 // Re-export the linalg error so `?` conversions read naturally downstream.

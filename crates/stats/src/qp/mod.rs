@@ -17,8 +17,6 @@ mod projected_gradient;
 mod smo;
 
 pub use projected_gradient::{
-    solve_box_band, solve_box_band_detailed, solve_box_band_lowrank, solve_box_band_strict,
-    BoxBandConfig, BoxBandSolution,
+    solve_box_band, solve_box_band_detailed, solve_box_band_strict, BoxBandConfig, BoxBandSolution,
 };
-pub(crate) use smo::select_pair;
 pub use smo::{SmoConfig, SmoSolution, SmoSolver, WorkingSetQ};

@@ -153,120 +153,6 @@ pub fn solve_box_band_detailed(
         }));
     }
     let n = k.nrows();
-    // Fused column product: `Kβ` is built as `out = 0`, then
-    // `out += β_j·K_j` for each nonzero `β_j` in ascending `j`, four rows
-    // per pass over `out`. For a finite, bitwise-symmetric K each
-    // component adds the same nonzero terms in the same order as
-    // `matvec_into`, and every skipped term is `K_ij·0 = ±0`, which cannot
-    // change an accumulator that started at `+0.0`. The dense tail rows
-    // (`n % 4`) start their sum at `−0.0`, so a component may differ there
-    // only in the sign of an exact zero, which the update `β_i − step·g_i`
-    // erases because β never holds `−0.0`. The trajectory is therefore
-    // bit-identical. An infinite entry would make a skipped `inf·0` a NaN,
-    // and an asymmetric K would read the wrong entries, so either keeps
-    // `matvec_into` throughout.
-    let fused_ok = (0..n).all(|i| {
-        (0..=i).all(|j| k[(i, j)].is_finite() && k[(i, j)].to_bits() == k[(j, i)].to_bits())
-    });
-    let mut nonzero = Vec::with_capacity(n);
-    solve_box_band_core(
-        n,
-        |beta, out| {
-            if !fused_ok {
-                return Ok(k.matvec_into(beta, out)?);
-            }
-            nonzero.clear();
-            nonzero.extend((0..n).filter(|&j| beta[j] != 0.0));
-            fused_column_product(k, beta, &nonzero, out);
-            Ok(())
-        },
-        gershgorin_bound(k),
-        kappa,
-        config,
-    )
-}
-
-/// `out = Σ_j β_j·K_j` over the rows `j` listed in `rows` (ascending),
-/// four rows per pass over `out`. Each element receives the same adds in
-/// the same order as one `axpy_mut` per row.
-fn fused_column_product(k: &Matrix, beta: &[f64], rows: &[usize], out: &mut [f64]) {
-    out.fill(0.0);
-    let mut quads = rows.chunks_exact(4);
-    for q in &mut quads {
-        let (b0, b1, b2, b3) = (beta[q[0]], beta[q[1]], beta[q[2]], beta[q[3]]);
-        let (r0, r1, r2, r3) = (k.row(q[0]), k.row(q[1]), k.row(q[2]), k.row(q[3]));
-        for ((((o, a0), a1), a2), a3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
-            *o = *o + b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3;
-        }
-    }
-    for &j in quads.remainder() {
-        sidefp_linalg::vecops::axpy_mut(out, beta[j], k.row(j));
-    }
-}
-
-/// Gershgorin bound on the spectral radius of `k` (its largest absolute
-/// row sum), which sets the dense solve's fixed step size.
-fn gershgorin_bound(k: &Matrix) -> f64 {
-    k.rows_iter()
-        .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// [`solve_box_band_detailed`] for a low-rank operator: `K = Φ Φᵀ` given
-/// implicitly through the feature matrix `phi` (`n × r`), so every
-/// gradient step costs `O(n·r)` instead of `O(n²)`.
-///
-/// The step size comes from a Gershgorin bound on the small Gram `ΦᵀΦ`
-/// (which shares its nonzero spectrum with `ΦΦᵀ`). The inner mat-vec
-/// accumulates `w = Φᵀβ` sequentially and maps `out_i = ⟨φ_i, w⟩`
-/// per-element, so the trajectory is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same as [`solve_box_band_detailed`], minus the squareness check
-/// (`phi` is rectangular by design).
-pub fn solve_box_band_lowrank(
-    phi: &Matrix,
-    kappa: &[f64],
-    config: &BoxBandConfig,
-) -> Result<BoxBandSolution, StatsError> {
-    let n = phi.nrows();
-    let lipschitz = sidefp_linalg::lowrank::gram_spectral_bound(phi);
-    let mut w = vec![0.0; phi.ncols()];
-    solve_box_band_core(
-        n,
-        move |beta, out| {
-            w.fill(0.0);
-            for (i, row) in phi.rows_iter().enumerate() {
-                sidefp_linalg::vecops::axpy_mut(&mut w, beta[i], row);
-            }
-            let wv = &w;
-            let products =
-                sidefp_parallel::map_indexed(n, |i| sidefp_linalg::vecops::dot(phi.row(i), wv));
-            out.copy_from_slice(&products);
-            Ok(())
-        },
-        lipschitz,
-        kappa,
-        config,
-    )
-}
-
-/// Shared projected-gradient loop behind the dense and low-rank entry
-/// points. `matvec` computes `K β` into its output slice; the dense path's
-/// fused column product is bit-identical to [`Matrix::matvec_into`],
-/// which keeps that path's floating-point trajectory that of the
-/// historical implementation.
-fn solve_box_band_core<F>(
-    n: usize,
-    mut matvec: F,
-    lipschitz: f64,
-    kappa: &[f64],
-    config: &BoxBandConfig,
-) -> Result<BoxBandSolution, StatsError>
-where
-    F: FnMut(&[f64], &mut [f64]) -> Result<(), StatsError>,
-{
     if kappa.len() != n {
         return Err(StatsError::DimensionMismatch {
             expected: n,
@@ -296,7 +182,22 @@ where
         });
     }
 
-    let step = 1.0 / lipschitz.max(1e-12);
+    // Fused column product: `Kβ` is built as `out = 0`, then
+    // `out += β_j·K_j` for each nonzero `β_j` in ascending `j`, four rows
+    // per pass over `out`. For a finite, bitwise-symmetric K each
+    // component adds the same nonzero terms in the same order as
+    // `matvec_into`, and every skipped term is `K_ij·0 = ±0`, which cannot
+    // change an accumulator that started at `+0.0`. The dense tail rows
+    // (`n % 4`) start their sum at `−0.0`, so a component may differ there
+    // only in the sign of an exact zero, which the update `β_i − step·g_i`
+    // erases because β never holds `−0.0`. The trajectory is therefore
+    // bit-identical. An infinite entry would make a skipped `inf·0` a NaN,
+    // and an asymmetric K would read the wrong entries, so either keeps
+    // `matvec_into` throughout.
+    let fused_ok = (0..n).all(|i| {
+        (0..=i).all(|j| k[(i, j)].is_finite() && k[(i, j)].to_bits() == k[(j, i)].to_bits())
+    });
+    let step = 1.0 / gershgorin_bound(k).max(1e-12);
 
     // Feasible start: the all-ones vector clamped into the box.
     let mut beta = vec![1.0_f64.min(config.upper); n];
@@ -309,9 +210,16 @@ where
     // allocates nothing after this point).
     let mut grad = vec![0.0; n];
     let mut next = vec![0.0; n];
+    let mut nonzero = Vec::with_capacity(n);
     for _ in 0..config.max_iter {
         // grad = K β − κ
-        matvec(&beta, &mut grad)?;
+        if fused_ok {
+            nonzero.clear();
+            nonzero.extend((0..n).filter(|&j| beta[j] != 0.0));
+            fused_column_product(k, &beta, &nonzero, &mut grad);
+        } else {
+            k.matvec_into(&beta, &mut grad)?;
+        }
         for (gi, ki) in grad.iter_mut().zip(kappa) {
             *gi -= ki;
         }
@@ -346,6 +254,32 @@ where
     })
 }
 
+/// `out = Σ_j β_j·K_j` over the rows `j` listed in `rows` (ascending),
+/// four rows per pass over `out`. Each element receives the same adds in
+/// the same order as one `axpy_mut` per row.
+fn fused_column_product(k: &Matrix, beta: &[f64], rows: &[usize], out: &mut [f64]) {
+    out.fill(0.0);
+    let mut quads = rows.chunks_exact(4);
+    for q in &mut quads {
+        let (b0, b1, b2, b3) = (beta[q[0]], beta[q[1]], beta[q[2]], beta[q[3]]);
+        let (r0, r1, r2, r3) = (k.row(q[0]), k.row(q[1]), k.row(q[2]), k.row(q[3]));
+        for ((((o, a0), a1), a2), a3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *o = *o + b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3;
+        }
+    }
+    for &j in quads.remainder() {
+        sidefp_linalg::vecops::axpy_mut(out, beta[j], k.row(j));
+    }
+}
+
+/// Gershgorin bound on the spectral radius of `k` (its largest absolute
+/// row sum), which sets the solve's fixed step size.
+fn gershgorin_bound(k: &Matrix) -> f64 {
+    k.rows_iter()
+        .map(|row| row.iter().map(|v| v.abs()).sum::<f64>())
+        .fold(0.0, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,30 +288,53 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The reference solve: the same loop with the dense `matvec_into` on
-    /// every iteration. Also returns the first iterate with at most half
-    /// its weights nonzero, from which the fused product skips most rows.
+    /// The reference solve: the historical projected-gradient loop with
+    /// the dense `matvec_into` on every iteration. Also returns the first
+    /// iterate with at most half its weights nonzero, from which the fused
+    /// product skips most rows.
     fn dense_reference(
         k: &Matrix,
         kappa: &[f64],
         config: &BoxBandConfig,
     ) -> (BoxBandSolution, Option<Vec<f64>>) {
+        let n = k.nrows();
+        let step = 1.0 / gershgorin_bound(k).max(1e-12);
+        let mut beta = vec![1.0_f64.min(config.upper); n];
+        project_box_band(&mut beta, config.upper, config.band);
+        let (mut iterations, mut converged, mut final_delta) = (0, false, f64::INFINITY);
+        let (mut grad, mut next) = (vec![0.0; n], vec![0.0; n]);
         let mut first_sparse = None;
-        let sol = solve_box_band_core(
-            k.nrows(),
-            |beta, out| {
-                if first_sparse.is_none()
-                    && 2 * beta.iter().filter(|b| **b != 0.0).count() <= beta.len()
-                {
-                    first_sparse = Some(beta.to_vec());
-                }
-                Ok(k.matvec_into(beta, out)?)
-            },
-            gershgorin_bound(k),
-            kappa,
-            config,
-        )
-        .unwrap();
+        for _ in 0..config.max_iter {
+            if first_sparse.is_none() && 2 * beta.iter().filter(|b| **b != 0.0).count() <= n {
+                first_sparse = Some(beta.clone());
+            }
+            k.matvec_into(&beta, &mut grad).unwrap();
+            for (gi, ki) in grad.iter_mut().zip(kappa) {
+                *gi -= ki;
+            }
+            for ((nx, b), g) in next.iter_mut().zip(&beta).zip(&grad) {
+                *nx = b - step * g;
+            }
+            project_box_band(&mut next, config.upper, config.band);
+            let delta = next
+                .iter()
+                .zip(&beta)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0_f64, f64::max);
+            std::mem::swap(&mut beta, &mut next);
+            iterations += 1;
+            final_delta = delta;
+            if delta < config.tol {
+                converged = true;
+                break;
+            }
+        }
+        let sol = BoxBandSolution {
+            beta,
+            iterations,
+            converged,
+            final_delta,
+        };
         (sol, first_sparse)
     }
 
@@ -629,61 +586,6 @@ mod tests {
         ));
         // Best-effort path still hands back a feasible iterate.
         assert!(solve_box_band(&k, &kappa, &cfg).is_ok());
-    }
-
-    #[test]
-    fn lowrank_solve_tracks_dense_solve_on_factored_operator() {
-        // K = ΦΦᵀ materialized densely vs served through the factor. The
-        // step sizes differ (row-sum vs small-Gram Gershgorin bound), so
-        // compare converged solutions, not trajectories.
-        let phi = Matrix::from_fn(12, 3, |i, j| ((i * 5 + j * 7) % 9) as f64 * 0.31 - 1.0);
-        let dense = phi.matmul(&phi.transpose()).unwrap();
-        let kappa: Vec<f64> = (0..12).map(|i| 1.0 + 0.1 * (i as f64).sin()).collect();
-        let cfg = BoxBandConfig {
-            upper: 5.0,
-            band: 0.3,
-            max_iter: 100_000,
-            tol: 1e-9,
-        };
-        let want = solve_box_band_detailed(&dense, &kappa, &cfg).unwrap();
-        let got = solve_box_band_lowrank(&phi, &kappa, &cfg).unwrap();
-        assert!(got.converged && want.converged);
-        // K is rank-deficient (r = 3 ≪ n = 12), so the optimal face is
-        // flat and the two step sizes can park at different optimal
-        // iterates: compare objective values, which must agree.
-        let obj = |b: &[f64]| {
-            let kb = dense.matvec(b).unwrap();
-            0.5 * b.iter().zip(&kb).map(|(x, y)| x * y).sum::<f64>()
-                - kappa.iter().zip(b).map(|(k, x)| k * x).sum::<f64>()
-        };
-        let (go, wo) = (obj(&got.beta), obj(&want.beta));
-        // The stopping rule is iterate change, not optimality gap, and the
-        // two paths use different step sizes, so allow a small slack.
-        assert!(
-            (go - wo).abs() < 1e-3 * wo.abs().max(1.0),
-            "objectives diverge: {go} vs {wo}"
-        );
-        // Both iterates must be box-feasible.
-        for b in got.beta.iter().chain(&want.beta) {
-            assert!(*b >= -1e-12 && *b <= cfg.upper + 1e-12);
-        }
-    }
-
-    #[test]
-    fn lowrank_solve_bit_identical_across_thread_counts() {
-        let phi = Matrix::from_fn(40, 4, |i, j| ((i * 3 + j) % 13) as f64 * 0.17 - 0.9);
-        let kappa = vec![1.0; 40];
-        let cfg = BoxBandConfig::default();
-        let one = sidefp_parallel::with_threads(1, || {
-            solve_box_band_lowrank(&phi, &kappa, &cfg).unwrap()
-        });
-        let eight = sidefp_parallel::with_threads(8, || {
-            solve_box_band_lowrank(&phi, &kappa, &cfg).unwrap()
-        });
-        assert_eq!(one.iterations, eight.iterations);
-        for (a, b) in one.beta.iter().zip(&eight.beta) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

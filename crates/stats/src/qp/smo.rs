@@ -5,10 +5,7 @@ use crate::StatsError;
 /// Maximal-violating-pair scan: `(i_best, g_min, j_best, g_max)` where `i`
 /// ranges over coordinates free to increase (`α_i < C`) and `j` over those
 /// free to decrease (`α_j > 0`). `usize::MAX` marks an empty candidate set.
-///
-/// Shared with the feature-space decomposition solver in
-/// [`crate::approx`], which runs the same scan on its working-set blocks.
-pub(crate) fn select_pair(alpha: &[f64], grad: &[f64], c: f64) -> (usize, f64, usize, f64) {
+fn select_pair(alpha: &[f64], grad: &[f64], c: f64) -> (usize, f64, usize, f64) {
     let mut i_best = usize::MAX;
     let mut g_min = f64::INFINITY;
     let mut j_best = usize::MAX;

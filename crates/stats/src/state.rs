@@ -28,37 +28,14 @@ pub struct ScalerState {
     pub stds: Vec<f64>,
 }
 
-/// How a trained [`crate::OneClassSvm`] evaluates its kernel sum — the
-/// public mirror of the internal decision representation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SvmDecisionState {
-    /// Classic kernel expansion `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`
-    /// (exact and Nyström fits).
-    Expansion {
-        /// Support / landmark points, one per row.
-        points: Matrix,
-        /// Expansion coefficients, one per point row.
-        coeffs: Vec<f64>,
-    },
-    /// Random Fourier feature map
-    /// `f(x) = Σ_j w_j · scale · cos(ω_jᵀx + b_j) − ρ` (RFF fits).
-    RandomFeatures {
-        /// Frequency matrix ω, one frequency per row.
-        omega: Matrix,
-        /// Phase offsets `b`, one per frequency.
-        offsets: Vec<f64>,
-        /// Feature-map scale factor.
-        scale: f64,
-        /// Feature-space weights, one per frequency.
-        w: Vec<f64>,
-    },
-}
-
 /// Fitted parameters of a [`crate::OneClassSvm`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvmState {
-    /// The decision-function representation.
-    pub decision: SvmDecisionState,
+    /// Support vectors, one per row; the decision function is the kernel
+    /// expansion `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`.
+    pub points: Matrix,
+    /// Expansion coefficients, one per support-vector row.
+    pub coeffs: Vec<f64>,
     /// Decision-function offset ρ.
     pub rho: f64,
     /// Kernel the model was trained with.
@@ -69,7 +46,7 @@ pub struct SvmState {
     pub nu: f64,
     /// ν-property support-vector count of the fitted dual.
     pub support_count: usize,
-    /// Preserved full dual iterate (empty on low-rank approximation fits).
+    /// Preserved full dual iterate.
     pub dual_alpha: Vec<f64>,
     /// Pairwise SMO updates the fit consumed.
     pub solve_iterations: usize,

@@ -145,10 +145,6 @@ else
     # Fault-matrix smoke: the degradation pipeline must absorb every fault
     # class without panicking even in the quick gate.
     cargo test -q -p sidefp-core --test fault_matrix
-    # Approximation-accuracy smoke: the sub-quadratic kernel paths
-    # (Nyström / RFF / binned KDE) must stay inside their pinned
-    # approx-vs-exact error bounds and thread-count bit-identity.
-    cargo test -q -p sidefp-stats --test approx_accuracy
     # Box-band QP smoke: the fused column product must keep the solve
     # bit-identical to the `matvec_into` reference (beta bits, iterations,
     # convergence flag and final delta).
@@ -164,7 +160,8 @@ else
     # bit-identically to the in-process fit at any thread count.
     cargo test -q -p sidefp-core --test fitted_model
     # Steady-state allocation smoke: warm KDE density, OCSVM decision and
-    # per-device score_into loops must request zero heap blocks.
+    # per-device score_into loops must request zero heap blocks, and
+    # streamed KDE sampling the same blocks at 10^3 as at 10^5 rows.
     cargo test -q -p sidefp-bench --test steady_state_allocs
     # Scenario-matrix smoke: a reduced grid (<= 4 cells) through the full
     # B1-B5 flow; catches a channel/Trojan/corner wiring break without

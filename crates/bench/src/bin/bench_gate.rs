@@ -1,5 +1,5 @@
 //! Typed checks of the committed `BENCH_*.json` records, the evidence
-//! behind the repo's performance and scenario claims.
+//! behind the repo's performance and correctness claims.
 //!
 //! ```text
 //! bench-gate   # check the BENCH_*.json records in the working directory
@@ -8,8 +8,8 @@
 //! Records are read with [`sidefp_bench::record`], the module the bench
 //! binaries write them with. A missing file, or a missing, `null` or
 //! non-numeric gated field, fails, naming the file and the field.
-//! `BENCH_seeds.json` is checked against `BENCH_scenarios.json`: both
-//! hold Table 1 at seed 42.
+//! Correctness claims are gated on `BENCH_seeds.json` as seed counts: each
+//! of [`FLOORS`] must hold at a given number of the sweep's 16 seeds.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -19,14 +19,6 @@ use sidefp_bench::record::{self, Value};
 
 const DRIFT_RATIO_FLOOR: f64 = 3.0;
 const AMORTIZATION_FLOOR: f64 = 100.0;
-const SCENARIO_MIN: usize = 12;
-
-const PAPER_CELL: &str = "power/always-on/tt/paper";
-const SEEDS_FILE: &str = "BENCH_seeds.json";
-const SCENARIOS_FILE: &str = "BENCH_scenarios.json";
-const BOUNDARIES: [&str; 5] = ["b1", "b2", "b3", "b4", "b5"];
-const POWER_DORMANT_CELL: &str = "power/dormant/tt/paper";
-const FULL_STACK_DORMANT_CELL: &str = "power+iddt+delay+spectral/dormant/tt/paper";
 
 /// One check per record: a summary if the record holds, else why not.
 type Check = fn(&Value) -> Result<String, String>;
@@ -34,7 +26,41 @@ type Check = fn(&Value) -> Result<String, String>;
 const CHECKS: [(&str, Check); 3] = [
     ("BENCH_drift.json", drift),
     ("BENCH_throughput.json", throughput),
-    ("BENCH_scenarios.json", scenarios),
+    ("BENCH_seeds.json", seeds),
+];
+
+/// A run's count under a key (`b5_fn`, …); NaN where the run has none.
+type Counts<'a> = dyn Fn(&str) -> f64 + 'a;
+
+/// Whether one run satisfies a floor. Every predicate compares counts, so
+/// a failed run (NaN) never satisfies one.
+type Holds = fn(&Counts) -> bool;
+
+/// Seed-count floors on `BENCH_seeds.json`: `(cell, what, min_seeds,
+/// holds)` — at least `min_seeds` runs of `cell` satisfy `holds`. FP
+/// counts missed Trojans and FN false alarms (paper conventions). Each
+/// floor is the count the committed record measures.
+const FLOORS: [(&str, &str, usize, Holds); 7] = [
+    ("paper", "B1 and B2 FN = 40", 16, |n| {
+        n("b1_fn") == 40.0 && n("b2_fn") == 40.0
+    }),
+    ("paper", "B5 FN <= 8", 14, |n| n("b5_fn") <= 8.0),
+    ("paper", "B5 FP <= 2 and FN <= 8", 7, |n| {
+        n("b5_fp") <= 2.0 && n("b5_fn") <= 8.0
+    }),
+    ("paper", "B5 FP <= golden FP + 2", 13, |n| {
+        n("b5_fp") <= n("golden_fp") + 2.0
+    }),
+    ("paper", "B4 FN < B3 FN", 6, |n| n("b4_fn") < n("b3_fn")),
+    ("scenario/power,dormant,tt", "B5 FP >= 36", 14, |n| {
+        n("b5_fp") >= 36.0
+    }),
+    (
+        "scenario/power+iddt+delay+spectral,dormant,tt",
+        "B5 FP <= 12 and FN < 40",
+        11,
+        |n| n("b5_fp") <= 12.0 && n("b5_fn") < 40.0,
+    ),
 ];
 
 fn ensure(holds: bool, why: String) -> Result<(), String> {
@@ -77,38 +103,6 @@ fn throughput(r: &Value) -> Result<String, String> {
     ))
 }
 
-fn scenarios(r: &Value) -> Result<String, String> {
-    let cells = list(r, "scenarios")?;
-    let n = cells.len();
-    ensure(n >= SCENARIO_MIN, format!("{n} cells, need {SCENARIO_MIN}"))?;
-    let name = |cell: &Value| cell.get("name").and_then(Value::as_str).map(String::from);
-    for (i, cell) in cells.iter().enumerate() {
-        let name = name(cell).ok_or_else(|| format!("cell {i} has no `name`"))?;
-        num(cell, "b5_fp").map_err(|e| format!("cell {name}: {e}"))?;
-    }
-    // B5 counts of a named cell; in the paper's convention "fp" counts
-    // missed Trojans and "fn" false alarms.
-    let b5 = |cell: &str, key: &str| -> Result<f64, String> {
-        let found = named(cells, cell).ok_or_else(|| format!("missing the cell {cell}"))?;
-        num(found, key).map_err(|e| format!("cell {cell}: {e}"))
-    };
-    let (fp, fn_) = (b5(PAPER_CELL, "b5_fp")?, b5(PAPER_CELL, "b5_fn")?);
-    let why = format!("paper cell B5 FP {fp} (<= 2), FN {fn_} (<= 8)");
-    ensure(fp <= 2.0 && fn_ <= 8.0, why)?;
-    // The multi-parameter story: a dormant payload is invisible to power
-    // alone but caught by the full stack.
-    let missed = |cell| Ok::<_, String>((b5(cell, "b5_fp")?, b5(cell, "b5_infested")?));
-    let (blind, of) = missed(POWER_DORMANT_CELL)?;
-    let why = format!("power alone sees the dormant payload (B5 FP {blind}/{of})");
-    ensure(blind >= 0.9 * of, why)?;
-    let (wide, of) = missed(FULL_STACK_DORMANT_CELL)?;
-    let why = format!("the full stack misses the dormant payload (B5 FP {wide}/{of})");
-    ensure(wide <= 0.3 * of, why)?;
-    Ok(format!(
-        "{n} cells; paper B5 {fp}/{fn_}, dormant missed by power {blind}, by full stack {wide}"
-    ))
-}
-
 /// The cell of `cells` called `name`.
 fn named<'a>(cells: &'a [Value], name: &str) -> Option<&'a Value> {
     cells
@@ -116,10 +110,16 @@ fn named<'a>(cells: &'a [Value], name: &str) -> Option<&'a Value> {
         .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
 }
 
+/// Whether `cell`'s run at seed index `i` satisfies `holds`.
+fn holds_at(cell: &Value, i: usize, holds: Holds) -> bool {
+    let at = |key: &str| list(cell, key).ok().and_then(|l| l.get(i)?.as_f64());
+    holds(&|key| at(key).unwrap_or(f64::NAN))
+}
+
 /// The `sweep` record: one entry per seed in every list of every cell,
-/// `null` exactly where the run failed, no failed `paper` run, and the
-/// `paper` cell's seed-42 B1–B5 counts equal to `scenarios`' paper cell.
-fn seeds(r: &Value, scenarios: &Value) -> Result<String, String> {
+/// `null` exactly where the run failed, no failed `paper` run, and every
+/// floor of [`FLOORS`] met.
+fn seeds(r: &Value) -> Result<String, String> {
     let seeds = list(r, "seeds")?;
     let first = seeds.first().and_then(Value::as_u64);
     let why = format!("`seeds` opens with {first:?}, not 42");
@@ -160,24 +160,23 @@ fn seeds(r: &Value, scenarios: &Value) -> Result<String, String> {
         ensure(!paper_failed, why(format!("{n_failed} failed runs")))?;
         failed += n_failed;
     }
-    let paper = named(cells, "paper").ok_or("missing the cell paper")?;
-    let table1 = named(list(scenarios, "scenarios")?, PAPER_CELL);
-    let table1 = table1.ok_or_else(|| format!("{SCENARIOS_FILE} has no cell {PAPER_CELL}"))?;
-    for b in BOUNDARIES {
-        for key in [format!("{b}_fp"), format!("{b}_fn")] {
-            let at_42 = list(paper, &key)?.first().and_then(Value::as_f64);
-            let want =
-                num(table1, &key).map_err(|e| format!("{SCENARIOS_FILE} {PAPER_CELL}: {e}"))?;
-            let why = format!(
-                "cell paper: seed-42 `{key}` {at_42:?}, but {SCENARIOS_FILE} {PAPER_CELL} has {want}"
-            );
-            ensure(at_42 == Some(want), why)?;
+    let mut short = vec![];
+    for (name, what, min_seeds, holds) in FLOORS {
+        let cell = named(cells, name).ok_or_else(|| format!("missing the cell {name}"))?;
+        let of = seeds.len();
+        let n = (0..of).filter(|&i| holds_at(cell, i, holds)).count();
+        if n < min_seeds {
+            short.push(format!(
+                "cell {name}: {what} holds at {n} of {of} seeds, floor {min_seeds}"
+            ));
         }
     }
+    ensure(short.is_empty(), short.join("; "))?;
     Ok(format!(
-        "{} cells x {} seeds, {failed} failed runs; paper at seed 42 is Table 1",
+        "{} cells x {} seeds, {failed} failed runs, {} seed-count floors met",
         cells.len(),
-        seeds.len()
+        seeds.len(),
+        FLOORS.len()
     ))
 }
 
@@ -190,20 +189,10 @@ fn read(path: &Path) -> Result<Value, String> {
     record::parse(&text).map_err(|e| e.to_string())
 }
 
-/// The seeds check of the record at `path`, reading its Table-1
-/// reference from the `BENCH_scenarios.json` beside it.
-fn seeds_file(path: &Path) -> Result<String, String> {
-    let r = read(path)?;
-    let scenarios = read(&path.with_file_name(SCENARIOS_FILE))
-        .map_err(|e| format!("{SCENARIOS_FILE} to check against: {e}"))?;
-    seeds(&r, &scenarios)
-}
-
 /// Every required record in `dir` with its summary, or why it fails.
 fn check_all(dir: &Path) -> Vec<(&'static str, Result<String, String>)> {
     let checked = CHECKS.map(|(file, check)| (file, read(&dir.join(file)).and_then(|r| check(&r))));
-    let seeds = (SEEDS_FILE, seeds_file(&dir.join(SEEDS_FILE)));
-    checked.into_iter().chain([seeds]).collect()
+    checked.into()
 }
 
 fn main() -> ExitCode {
@@ -234,6 +223,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    const SEEDS_FILE: &str = "BENCH_seeds.json";
+
     fn repo() -> &'static Path {
         Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
     }
@@ -247,6 +238,17 @@ mod tests {
         record::parse(&edit(&record::write(&committed(file)))).unwrap()
     }
 
+    /// The cells of a seeds record, for editing.
+    fn cells_of(r: &mut Value) -> &mut Vec<Value> {
+        let Value::Object(top) = r else {
+            panic!("not an object")
+        };
+        match top.iter_mut().find(|(k, _)| k == "cells") {
+            Some((_, Value::List(cells))) => cells,
+            _ => panic!("no cells list"),
+        }
+    }
+
     #[test]
     fn every_committed_record_parses_and_passes_its_check() {
         for (file, _) in CHECKS {
@@ -254,7 +256,7 @@ mod tests {
             assert_eq!(record::parse(&record::write(&record)).as_ref(), Ok(&record));
         }
         let outcomes = check_all(repo());
-        assert_eq!(outcomes.len(), CHECKS.len() + 1);
+        assert_eq!(outcomes.len(), CHECKS.len());
         for (file, outcome) in outcomes {
             let summary = outcome.unwrap_or_else(|e| panic!("{file}: {e}"));
             if file == SEEDS_FILE {
@@ -268,26 +270,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let files = CHECKS.map(|(file, _)| file);
-        for file in files.iter().chain([&SEEDS_FILE]) {
+        for file in files {
             std::fs::copy(repo().join(file), dir.join(file)).unwrap();
         }
-        for missing in files.iter().chain([&SEEDS_FILE]) {
+        for missing in files {
             std::fs::remove_file(dir.join(missing)).unwrap();
             let failed: Vec<_> = check_all(&dir)
                 .into_iter()
                 .filter_map(|(file, outcome)| Some((file, outcome.err()?)))
                 .collect();
-            let want = (*missing, "missing".to_string());
-            // Without its Table-1 reference the seeds record fails too.
-            let seeds = (
-                SEEDS_FILE,
-                format!("{SCENARIOS_FILE} to check against: missing"),
-            );
-            let expected = match *missing {
-                SCENARIOS_FILE => vec![want, seeds],
-                _ => vec![want],
-            };
-            assert_eq!(failed, expected);
+            assert_eq!(failed, [(missing, "missing".to_string())]);
             std::fs::copy(repo().join(missing), dir.join(missing)).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -306,32 +298,18 @@ mod tests {
 
     #[test]
     fn scenario_story_cells_are_required() {
-        let mut r = committed("BENCH_scenarios.json");
-        let Some((_, Value::List(cells))) = (match &mut r {
-            Value::Object(top) => top.iter_mut().find(|(k, _)| k == "scenarios"),
-            _ => None,
-        }) else {
-            panic!("no scenarios list")
-        };
+        let power = "scenario/power,dormant,tt";
+        let full_stack = "scenario/power+iddt+delay+spectral,dormant,tt";
+        let mut r = committed(SEEDS_FILE);
+        let cells = cells_of(&mut r);
+        let n = cells.len();
         cells.retain(|c| {
             let name = c.get("name").and_then(Value::as_str);
-            name != Some(POWER_DORMANT_CELL) && name != Some(FULL_STACK_DORMANT_CELL)
+            name != Some(power) && name != Some(full_stack)
         });
-        assert_eq!(cells.len(), 14);
-        let err = scenarios(&r).unwrap_err();
-        assert!(err.contains(POWER_DORMANT_CELL), "{err}");
-    }
-
-    #[test]
-    fn null_paper_cell_b5_fn_fails() {
-        let r = edited("BENCH_scenarios.json", |t| {
-            t.replacen("\"b5_fn\": 0,", "\"b5_fn\": null,", 1)
-        });
-        let err = scenarios(&r).unwrap_err();
-        assert!(
-            err.contains(PAPER_CELL) && err.contains("`b5_fn` is null"),
-            "{err}"
-        );
+        assert_eq!(cells.len(), n - 2);
+        let err = seeds(&r).unwrap_err();
+        assert_eq!(err, format!("missing the cell {power}"));
     }
 
     /// The committed seeds record with the first `"key": [` list of the
@@ -347,7 +325,7 @@ mod tests {
             edit(&text[open..close]),
             &text[close..]
         );
-        seeds(&record::parse(&edited).unwrap(), &committed(SCENARIOS_FILE))
+        seeds(&record::parse(&edited).unwrap())
     }
 
     #[test]
@@ -385,13 +363,7 @@ mod tests {
     #[test]
     fn failed_paper_run_fails() {
         let mut r = committed(SEEDS_FILE);
-        let Value::Object(top) = &mut r else {
-            panic!("not an object")
-        };
-        let Some((_, Value::List(cells))) = top.iter_mut().find(|(k, _)| k == "cells") else {
-            panic!("no cells list")
-        };
-        let Value::Object(paper) = &mut cells[0] else {
+        let Value::Object(paper) = &mut cells_of(&mut r)[0] else {
             panic!("paper is not an object")
         };
         for (key, value) in paper.iter_mut().filter(|(k, _)| k != "name") {
@@ -403,17 +375,8 @@ mod tests {
                 _ => Value::Null,
             };
         }
-        let err = seeds(&r, &committed(SCENARIOS_FILE)).unwrap_err();
+        let err = seeds(&r).unwrap_err();
         assert_eq!(err, "cell paper: 1 failed runs");
-    }
-
-    #[test]
-    fn mismatched_seed_42_count_fails_naming_the_cell() {
-        let err = seeds_with("paper", "b3_fn", |l| l.replacen("[15,", "[16,", 1)).unwrap_err();
-        assert!(
-            err.contains("cell paper: seed-42 `b3_fn` Some(16.0), but") && err.contains(PAPER_CELL),
-            "{err}"
-        );
     }
 
     #[test]
@@ -424,8 +387,68 @@ mod tests {
         if let Value::Object(fields) = &mut r {
             fields[1].1 = Value::List(vec![Value::Int(1)]);
         }
-        let err = seeds(&r, &committed(SCENARIOS_FILE)).unwrap_err();
+        let err = seeds(&r).unwrap_err();
         assert!(err.contains("opens with Some(1), not 42"), "{err}");
+    }
+
+    /// Sets `key` of the cell of `FLOORS[floor]` to `value` at the first
+    /// seed where the floor holds, and checks that the gate then fails
+    /// naming the cell and the floor, one seed short of it (the edit may
+    /// break other floors too).
+    fn breach(floor: usize, key: &str, value: i128) {
+        let (name, what, min_seeds, holds) = FLOORS[floor];
+        let mut r = committed(SEEDS_FILE);
+        let cells = cells_of(&mut r);
+        let at = |c: &Value| c.get("name").and_then(Value::as_str) == Some(name);
+        let cell = cells.iter_mut().find(|c| at(c)).unwrap();
+        let seed = (0..16).find(|&i| holds_at(cell, i, holds)).unwrap();
+        let Value::Object(fields) = cell else {
+            panic!("{name} is not an object")
+        };
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::List(entries))) => entries[seed] = Value::Int(value),
+            _ => panic!("{name} has no list {key}"),
+        }
+        assert!(!holds_at(cell, seed, holds), "{name}: {what} still holds");
+        let err = seeds(&r).unwrap_err();
+        let short = min_seeds - 1;
+        let want = format!("cell {name}: {what} holds at {short} of 16 seeds, floor {min_seeds}");
+        assert!(err.split("; ").any(|e| e == want), "{err}");
+    }
+
+    #[test]
+    fn paper_blind_b1_b2_floor_fails_when_a_seed_breaks_it() {
+        breach(0, "b1_fn", 39);
+    }
+
+    #[test]
+    fn paper_b5_false_alarm_floor_fails_when_a_seed_breaks_it() {
+        breach(1, "b5_fn", 9);
+    }
+
+    #[test]
+    fn paper_b5_seed_42_gate_floor_fails_when_a_seed_breaks_it() {
+        breach(2, "b5_fp", 3);
+    }
+
+    #[test]
+    fn paper_b5_versus_golden_floor_fails_when_a_seed_breaks_it() {
+        breach(3, "b5_fp", 80);
+    }
+
+    #[test]
+    fn paper_b4_below_b3_floor_fails_when_a_seed_breaks_it() {
+        breach(4, "b4_fn", 40);
+    }
+
+    #[test]
+    fn power_blind_to_dormant_floor_fails_when_a_seed_breaks_it() {
+        breach(5, "b5_fp", 0);
+    }
+
+    #[test]
+    fn full_stack_catches_dormant_floor_fails_when_a_seed_breaks_it() {
+        breach(6, "b5_fn", 40);
     }
 
     #[test]

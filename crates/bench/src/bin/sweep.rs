@@ -4,15 +4,18 @@
 //!
 //! ```text
 //! sweep           # every cell at every seed; prints the table, writes BENCH_seeds.json
-//! sweep --smoke   # 3 cells x 4 seeds at reduced sizing; writes nothing
+//! sweep --smoke   # 4 cells x 4 seeds at reduced sizing; writes nothing
 //! ```
 //!
 //! A cell is a name (`group/value`) and a fully lowered
 //! [`ExperimentConfig`]. `paper` is the library default (10⁵ KDE samples);
 //! `base` is the default at 20,000 KDE samples, the reference row of every
-//! group except `calibrate`, which varies the paper sizing. Each group
-//! varies one knob, or one pair of knobs, over the values listed in
-//! [`cells`]; a value that lowers to `base` or `paper` is not repeated.
+//! group except `calibrate` and `scenario`, which vary the paper sizing.
+//! Each group varies one knob, or one pair of knobs, over the values listed
+//! in [`cells`]; a value that lowers to `base` or `paper` is not repeated.
+//! `scenario` is the multi-parameter grid of [`sidefp_core::scenario`]
+//! (channel stack × Trojan suite × process corner), each cell lowered by
+//! [`Scenario::config`].
 //!
 //! Each cell runs at every seed of [`SEEDS`], seed 42 first. The seed
 //! replaces the config's own, so `paper` at seed `s` is `table1 s`. A run
@@ -26,14 +29,16 @@ use std::process::ExitCode;
 
 use sidefp_bench::args::{Args, Kind, Spec};
 use sidefp_bench::record::{self, Value};
+use sidefp_chip::trojan::TrojanSuite;
 use sidefp_core::config::RegressorKind;
+use sidefp_core::scenario::{channel_sets, Scenario};
 use sidefp_core::spc::paired_check;
 use sidefp_core::{ExperimentConfig, PaperExperiment};
 use sidefp_silicon::environment::Environment;
 use sidefp_silicon::foundry::ProcessShift;
 use sidefp_silicon::params::ProcessFactor;
 use sidefp_silicon::pcm::{PcmKind, PcmSuite, PcmTamper};
-use sidefp_silicon::SiliconError;
+use sidefp_silicon::{ProcessCorner, SiliconError, TechnologyPreset};
 use sidefp_stats::descriptive::quantile;
 use sidefp_stats::knn::KnnConfig;
 use sidefp_stats::ridge::RidgeConfig;
@@ -43,8 +48,14 @@ use sidefp_stats::ridge::RidgeConfig;
 /// `paper` row at seed `s` is `table1 s`.
 const SEEDS: [u64; 16] = [42, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
-/// The `--smoke` subset: the paper cell, the no-drift cell and one tamper.
-const SMOKE_CELLS: [&str; 3] = ["paper", "shift/0", "tamper/0.94"];
+/// The `--smoke` subset: the paper cell, the no-drift cell, one tamper and
+/// the widest channel stack, so every channel's wiring runs.
+const SMOKE_CELLS: [&str; 4] = [
+    "paper",
+    "shift/0",
+    "tamper/0.94",
+    "scenario/power+iddt+delay+spectral,dormant,tt",
+];
 const SMOKE_SEEDS: usize = 4;
 
 /// The rows of one run, in record order.
@@ -204,6 +215,27 @@ fn cells() -> Result<Vec<Cell>, SiliconError> {
             format!("tamper/{scale}"),
             with(&|c| c.pcm_tamper = tamper.clone()),
         );
+    }
+    // At the paper sizing. The power, always-on, tt cell is `paper` itself,
+    // though it lowers with `channels` and `trojan_suite` set.
+    let paper_cell = Scenario::paper_cell(&paper);
+    let suites = [
+        TrojanSuite::rf_leaks(paper.amplitude_delta, paper.frequency_delta),
+        TrojanSuite::dormant(1000),
+    ];
+    for channels in channel_sets(&paper.meter) {
+        for suite in &suites {
+            for corner in [ProcessCorner::Typical, ProcessCorner::FastFast] {
+                let (channels, suite) = (channels.clone(), suite.clone());
+                let cell = Scenario::new(channels, suite, corner, TechnologyPreset::paper());
+                if cell != paper_cell {
+                    // `channels/classes/corner/preset` → `channels,classes,corner`.
+                    let parts: Vec<&str> = cell.name.split('/').take(3).collect();
+                    let config = cell.config(&paper, paper.seed);
+                    add(format!("scenario/{}", parts.join(",")), config);
+                }
+            }
+        }
     }
     Ok(cells)
 }
@@ -365,10 +397,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     print!("{}", render_markdown(&seeds, &rows));
     if smoke {
-        let paper = rows.iter().find(|(name, _)| *name == "paper");
-        let failed = paper.map_or(0, |(_, o)| o.iter().filter(|o| o.is_err()).count());
+        let outcomes = rows.iter().flat_map(|(_, o)| o);
+        let failed = outcomes.filter(|o| o.is_err()).count();
         if failed > 0 {
-            return Err(format!("smoke: {failed} paper runs failed").into());
+            return Err(format!("smoke: {failed} runs failed").into());
         }
         return Ok(());
     }
@@ -440,6 +472,19 @@ mod tests {
         };
         assert_eq!(cells[1].config, base);
         assert_eq!(SEEDS[0], base.seed);
+    }
+
+    #[test]
+    fn scenario_grid_skips_its_paper_cell() {
+        let cells = cells().unwrap();
+        let names: Vec<&str> = cells.iter().map(|c| c.name.as_str()).collect();
+        let grid: Vec<&&str> = names
+            .iter()
+            .filter(|n| n.starts_with("scenario/"))
+            .collect();
+        assert_eq!(grid.len(), 15, "{grid:?}");
+        assert!(!names.contains(&"scenario/power,always-on,tt"));
+        assert!(names.contains(&"scenario/power,always-on,ff"));
     }
 
     #[test]

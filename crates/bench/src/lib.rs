@@ -9,10 +9,9 @@
 //! - `wafermap` — spatial map of verdicts (ASCII + SVG),
 //! - `sweep` — every ablation and extension setting (foundry drift, KDE,
 //!   KMM, SVM, Monte Carlo size, PCM suite, regressor, calibration grid,
-//!   tester temperature, PCM tampering) at 16 seeds; writes
+//!   tester temperature, PCM tampering, and the channel stack × Trojan
+//!   suite × process corner scenario grid) at 16 seeds; writes
 //!   `BENCH_seeds.json`,
-//! - `scenario-matrix` — channel stacks × Trojan suites × process corners;
-//!   writes `BENCH_scenarios.json`,
 //! - `drift` — incremental recalibration versus full refit on a drifting
 //!   lot stream; writes `BENCH_drift.json`,
 //! - `throughput` — fit-once, score-many batch throughput; writes

@@ -10,7 +10,7 @@
 
 use crate::ChipError;
 
-/// Coarse taxonomy of Trojan behaviour, the axis the scenario matrix sweeps.
+/// Coarse taxonomy of Trojan behaviour, one axis of the scenario grid.
 ///
 /// The paper's two RF leaks are *always-on parametric* Trojans: they
 /// continuously modulate an analog parameter and never change digital

@@ -817,7 +817,9 @@ fn encode_svm(w: &mut Writer, s: &SvmState) {
     w.f64(s.rho);
     w.f64(s.nu);
     w.usize(s.input_dim);
-    w.usize(s.support_count);
+    // Version 2 stores the support-vector count here; it is the row count
+    // of `points`, which the decoder checks it against.
+    w.usize(s.points.nrows());
     w.usize(s.solve_iterations);
     encode_kernel(w, &s.kernel);
     w.f64s(&s.dual_alpha);
@@ -842,6 +844,14 @@ fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
         });
     }
     let points = r.matrix()?;
+    if support_count != points.nrows() {
+        return Err(ArtifactError::Invalid {
+            what: format!(
+                "SVM support count {support_count} disagrees with its {} support vectors",
+                points.nrows()
+            ),
+        });
+    }
     let coeffs = r.f64s()?;
     Ok(SvmState {
         points,
@@ -850,7 +860,6 @@ fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
         kernel,
         input_dim,
         nu,
-        support_count,
         dual_alpha,
         solve_iterations,
     })
@@ -1094,6 +1103,42 @@ mod tests {
             FittedModel::from_bytes(&retired).unwrap_err(),
             ArtifactError::Invalid {
                 what: "unknown SVM decision tag 1".into()
+            }
+        );
+    }
+
+    #[test]
+    fn disagreeing_svm_support_count_is_rejected_typed() {
+        let model = tiny_model();
+        let bytes = model.to_bytes();
+        let svm = model.boundaries()[0].svm().export_state();
+        let mut w = Writer::default();
+        encode_svm(&mut w, &svm);
+        // rho, nu and input_dim precede the count.
+        let count_in_svm = 24;
+        let n = svm.points.nrows();
+        assert_eq!(
+            w.buf[count_in_svm..count_in_svm + 8],
+            (n as u64).to_le_bytes()
+        );
+        let at = bytes
+            .windows(w.buf.len())
+            .position(|win| win == w.buf.as_slice())
+            .expect("B1's SVM encoding is in the artifact");
+
+        let mut tampered = bytes.clone();
+        tampered[at + count_in_svm..at + count_in_svm + 8]
+            .copy_from_slice(&(n as u64 + 1).to_le_bytes());
+        let end = tampered.len() - 8;
+        let check = fnv1a64(&tampered[HEADER_LEN..end]);
+        tampered[end..].copy_from_slice(&check.to_le_bytes());
+        assert_eq!(
+            FittedModel::from_bytes(&tampered).unwrap_err(),
+            ArtifactError::Invalid {
+                what: format!(
+                    "SVM support count {} disagrees with its {n} support vectors",
+                    n + 1
+                )
             }
         );
     }

@@ -60,7 +60,7 @@ pub use error::CoreError;
 pub use experiment::PaperExperiment;
 pub use health::{MeasurementHealth, QuarantineReason, QuarantinedDevice, RecalHealth, RunHealth};
 pub use report::{ExperimentResult, Table1Row};
-pub use scenario::{Scenario, ScenarioOutcome};
+pub use scenario::Scenario;
 pub use score::{BatchScorer, ScoredBatch};
 pub use sidefp_obs::{RunContext, SolverHealth, TraceEvent, TraceRecord};
 pub use stages::recalibrate::{LotAction, LotOutcome, LotStream};

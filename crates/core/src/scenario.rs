@@ -1,19 +1,19 @@
-//! Scenario-matrix experiments: named cells of the
+//! Scenario-matrix cells: named points of the
 //! (channel stack × Trojan suite × process corner × technology preset)
-//! grid, each run through the full B1–B5 flow.
+//! grid, each lowered onto the full B1–B5 flow.
 //!
-//! A [`Scenario`] is a declarative cell description; [`Scenario::run`]
-//! lowers it onto an [`ExperimentConfig`] and executes the ordinary
-//! [`PaperExperiment`] pipeline, so every cell exercises exactly the code
-//! path the paper reproduction uses. The paper's own setting is one cell
-//! ([`Scenario::paper_cell`]): the single power channel, the two RF-leak
-//! Trojans, the typical corner and the paper's technology drift — running
-//! it reproduces Table 1 bit-for-bit.
+//! A [`Scenario`] is a declarative cell description; [`Scenario::config`]
+//! lowers it onto an [`ExperimentConfig`] that the ordinary
+//! [`PaperExperiment`](crate::PaperExperiment) pipeline runs, so every
+//! cell exercises exactly the code path the paper reproduction uses. The
+//! paper's own setting is one cell ([`Scenario::paper_cell`]): the single
+//! power channel, the two RF-leak Trojans, the typical corner and the
+//! paper's technology drift — running it reproduces Table 1 bit-for-bit.
+//! The `sweep` bench bin runs the other cells of the grid at 16 seeds.
 //!
-//! Determinism: a cell is a pure function of `(scenario, base config,
-//! seed)`. The matrix driver forks one seed per cell
-//! ([`sidefp_parallel::fork_seed`]), so the whole grid is bit-identical at
-//! any thread count and any cell subset.
+//! Determinism: a lowered cell is a pure function of `(scenario, base
+//! config, seed)`, and the run it configures is bit-identical at any
+//! thread count.
 
 use sidefp_chip::channel::{ChannelSpec, ChannelStack};
 use sidefp_chip::trojan::TrojanSuite;
@@ -21,9 +21,6 @@ use sidefp_silicon::corner::{compose_shifts, TechnologyPreset};
 use sidefp_silicon::{PcmKind, PcmSuite, ProcessCorner};
 
 use crate::config::{ExperimentConfig, RegressorKind};
-use crate::experiment::PaperExperiment;
-use crate::report::Table1Row;
-use crate::CoreError;
 
 /// One cell of the scenario matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,36 +35,6 @@ pub struct Scenario {
     pub corner: ProcessCorner,
     /// The model-vs-fab technology drift preset.
     pub preset: TechnologyPreset,
-}
-
-/// Detection metrics of one scenario cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// The cell identifier.
-    pub name: String,
-    /// Channel names, in stack order.
-    pub channels: Vec<&'static str>,
-    /// Infested Trojan class labels present in the suite.
-    pub trojan_classes: Vec<&'static str>,
-    /// Corner label ("tt"/"ff"/"ss"/"fs").
-    pub corner: &'static str,
-    /// Technology preset name.
-    pub preset: &'static str,
-    /// The per-cell seed the run used.
-    pub seed: u64,
-    /// Devices fabricated and measured.
-    pub devices: usize,
-    /// Fingerprint dimensionality under this cell's stack.
-    pub fingerprint_width: usize,
-    /// B1–B5 detection rows.
-    pub table1: Vec<Table1Row>,
-}
-
-impl ScenarioOutcome {
-    /// The row of a given boundary, if present.
-    pub fn row(&self, dataset: &str) -> Option<&Table1Row> {
-        self.table1.iter().find(|r| r.dataset == dataset)
-    }
 }
 
 impl Scenario {
@@ -166,33 +133,6 @@ impl Scenario {
         }
         cfg
     }
-
-    /// Runs the cell through the full B1–B5 flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and stage errors.
-    pub fn run(&self, base: &ExperimentConfig, seed: u64) -> Result<ScenarioOutcome, CoreError> {
-        let cfg = self.config(base, seed);
-        let devices = cfg.device_count();
-        let artifacts = PaperExperiment::new(cfg)?.run_with_artifacts()?;
-        Ok(ScenarioOutcome {
-            name: self.name.clone(),
-            channels: self.channels.channel_names(),
-            trojan_classes: self
-                .suite
-                .infested_classes()
-                .iter()
-                .map(|c| c.label())
-                .collect(),
-            corner: self.corner.label(),
-            preset: self.preset.name,
-            seed,
-            devices,
-            fingerprint_width: artifacts.silicon.dutts.fingerprints().ncols(),
-            table1: artifacts.result.table1,
-        })
-    }
 }
 
 /// The silicon-characterization PCM suite paired with multi-parameter
@@ -248,6 +188,7 @@ pub fn channel_sets(meter: &sidefp_chip::measurement::SideChannelMeter) -> Vec<C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PaperExperiment;
     use sidefp_chip::channel::{ChannelSpec, DelayChannel, SupplyCurrentChannel};
     use sidefp_chip::measurement::SideChannelMeter;
 
@@ -306,10 +247,14 @@ mod tests {
     fn paper_cell_reproduces_the_paper_run_bit_for_bit() {
         let base = tiny_base();
         let direct = PaperExperiment::new(base.clone()).unwrap().run().unwrap();
-        let cell = Scenario::paper_cell(&base).run(&base, base.seed).unwrap();
-        assert_eq!(cell.table1, direct.table1);
-        assert_eq!(cell.fingerprint_width, 6);
-        assert_eq!(cell.devices, 30);
+        let cfg = Scenario::paper_cell(&base).config(&base, base.seed);
+        assert_eq!(cfg.device_count(), 30);
+        let cell = PaperExperiment::new(cfg)
+            .unwrap()
+            .run_with_artifacts()
+            .unwrap();
+        assert_eq!(cell.result.table1, direct.table1);
+        assert_eq!(cell.silicon.dutts.fingerprints().ncols(), 6);
     }
 
     #[test]
@@ -327,12 +272,13 @@ mod tests {
             sidefp_silicon::ProcessCorner::SlowSlow,
             TechnologyPreset::mature(),
         );
-        let a = cell.run(&base, 7).unwrap();
-        let b = cell.run(&base, 7).unwrap();
-        assert_eq!(a, b);
-        // Different seeds fork different draws.
-        let c = cell.run(&base, 8).unwrap();
-        assert_ne!(a.seed, c.seed);
+        let run = |seed| {
+            let cfg = cell.config(&base, seed);
+            PaperExperiment::new(cfg).unwrap().run().unwrap()
+        };
+        assert_eq!(run(7), run(7));
+        // Different seeds lower to different draws.
+        assert_ne!(cell.config(&base, 7).seed, cell.config(&base, 8).seed);
     }
 
     #[test]
@@ -351,9 +297,11 @@ mod tests {
             sidefp_silicon::ProcessCorner::Typical,
             TechnologyPreset::paper(),
         );
-        let a = cell.run(&one, 11).unwrap();
-        let b = cell.run(&eight, 11).unwrap();
-        assert_eq!(a, b);
+        let run = |base: &ExperimentConfig| {
+            let cfg = cell.config(base, 11);
+            PaperExperiment::new(cfg).unwrap().run().unwrap().table1
+        };
+        assert_eq!(run(&one), run(&eight));
     }
 
     #[test]

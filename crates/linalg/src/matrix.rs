@@ -322,31 +322,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `A * Bᵀ` without materializing the transpose.
-    ///
-    /// Runs through the packed-panel micro-kernel, which packs `rhs` rows
-    /// directly into `Bᵀ` panels; bit-identical to
-    /// `self.matmul(&rhs.transpose())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.ncols() != rhs.ncols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_nt",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        if self.rows == 0 || rhs.rows == 0 || self.cols == 0 {
-            return Ok(out);
-        }
-        crate::gemm::gemm_nt_fused(self, rhs, &crate::gemm::Epilogue::None, &mut out);
-        Ok(out)
-    }
-
     /// Gram matrix `AᵀA` (symmetric positive semi-definite).
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.cols);

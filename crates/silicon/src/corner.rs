@@ -1,5 +1,6 @@
 //! Process corners and technology-shift presets: named operating points
-//! for scenario-matrix experiments.
+//! for the scenario grid (`sidefp_core::scenario`, the `scenario/*` cells
+//! of the `sweep` bench bin).
 //!
 //! A *corner* is a deliberate systematic offset of the latent process
 //! factors — the classic tt/ff/ss/fs skew lots a fab runs for

@@ -71,9 +71,6 @@ pub struct OneClassSvm {
     kernel: Kernel,
     input_dim: usize,
     trained_nu: f64,
-    /// Count of training points with `α > margin_tol` — the ν-property SV
-    /// count.
-    support_count: usize,
     /// The full dual iterate `α` the SMO solve ended on (all `n` training
     /// coordinates, not just support vectors). Preserved so a later fit on
     /// drifted-but-similar data can warm-start near this optimum.
@@ -232,7 +229,6 @@ impl OneClassSvm {
             kernel: config.kernel,
             input_dim: data.ncols(),
             trained_nu: config.nu,
-            support_count: sv_idx.len(),
             solve_iterations: sol.iterations,
             dual_alpha: sol.alpha,
         })
@@ -386,7 +382,7 @@ impl OneClassSvm {
     /// Number of support vectors (training points with `α` above the
     /// margin tolerance).
     pub fn support_vector_count(&self) -> usize {
-        self.support_count
+        self.points.nrows()
     }
 
     /// Offset ρ of the decision function.
@@ -429,7 +425,6 @@ impl OneClassSvm {
             kernel: self.kernel,
             input_dim: self.input_dim,
             nu: self.trained_nu,
-            support_count: self.support_count,
             dual_alpha: self.dual_alpha.clone(),
             solve_iterations: self.solve_iterations,
         }
@@ -491,7 +486,6 @@ impl OneClassSvm {
             kernel: state.kernel,
             input_dim: state.input_dim,
             trained_nu: state.nu,
-            support_count: state.support_count,
             dual_alpha: state.dual_alpha,
             solve_iterations: state.solve_iterations,
         })

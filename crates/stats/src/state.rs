@@ -44,8 +44,6 @@ pub struct SvmState {
     pub input_dim: usize,
     /// The ν the model was trained with.
     pub nu: f64,
-    /// ν-property support-vector count of the fitted dual.
-    pub support_count: usize,
     /// Preserved full dual iterate.
     pub dual_alpha: Vec<f64>,
     /// Pairwise SMO updates the fit consumed.

@@ -104,8 +104,8 @@ if ! awk '
 fi
 
 # The kernel layer runs on the packed GEMM with fused epilogues
-# (sidefp_linalg::gemm): stats code must go through `Matrix::matmul_nt`
-# or the GramMatrix entry points. Materializing a transpose and feeding
+# (sidefp_linalg::gemm): stats code must go through the GramMatrix entry
+# points or `gemm_nt_fused`. Materializing a transpose and feeding
 # it to `matmul` silently falls back to an extra O(n·d) copy and skips
 # the packed A·Bᵀ path, so new call sites are rejected outside tests.
 mapfile -t stats_sources < <(find crates/stats/src -name '*.rs' | sort)
@@ -118,7 +118,7 @@ if ! awk '
     }
     END { exit found }
 ' "${stats_sources[@]}"; then
-    echo "error: matmul-of-transpose in sidefp-stats (use matmul_nt or a fused GramMatrix path)" >&2
+    echo "error: matmul-of-transpose in sidefp-stats (use a GramMatrix entry point or gemm_nt_fused)" >&2
     exit 1
 fi
 
@@ -132,7 +132,8 @@ if hits="$(grep -rEn "$pattern" crates/core/src crates/stats/src)"; then
 fi
 
 # The committed BENCH_*.json records are the evidence for the repo's
-# performance and scenario claims: their floors are a hard gate.
+# performance and correctness claims: their floors, and the seed-count
+# floors on BENCH_seeds.json, are a hard gate.
 cargo build --release -q -p sidefp-bench --bin bench-gate
 ./target/release/bench-gate
 
@@ -163,12 +164,10 @@ else
     # per-device score_into loops must request zero heap blocks, and
     # streamed KDE sampling the same blocks at 10^3 as at 10^5 rows.
     cargo test -q -p sidefp-bench --test steady_state_allocs
-    # Scenario-matrix smoke: a reduced grid (<= 4 cells) through the full
-    # B1-B5 flow; catches a channel/Trojan/corner wiring break without
-    # paying for the committed full-size matrix.
-    cargo build --release -q -p sidefp-bench --bin scenario-matrix --bin sweep
-    ./target/release/scenario-matrix --smoke >/dev/null
-    # Seed-sweep smoke: 3 cells x 4 seeds at the same reduced sizing; the
-    # paper cell must finish at every seed. Writes no record.
+    # Seed-sweep smoke: 4 cells x 4 seeds at reduced sizing, among them
+    # the full channel stack with the dormant payload, so a channel,
+    # Trojan or corner wiring break shows; every run must finish. Writes
+    # no record.
+    cargo build --release -q -p sidefp-bench --bin sweep
     ./target/release/sweep --smoke >/dev/null
 fi

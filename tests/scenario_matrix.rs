@@ -12,8 +12,9 @@ use sidefp_chip::channel::{
 };
 use sidefp_chip::trojan::TrojanSuite;
 use sidefp_core::scenario::Scenario;
-use sidefp_core::ExperimentConfig;
+use sidefp_core::{ExperimentConfig, PaperExperiment};
 use sidefp_silicon::{ProcessCorner, TechnologyPreset};
+use sidefp_stats::ConfusionCounts;
 
 fn base() -> ExperimentConfig {
     ExperimentConfig {
@@ -22,6 +23,20 @@ fn base() -> ExperimentConfig {
         kde_samples: 5000,
         ..Default::default()
     }
+}
+
+/// B5's counts for `cell` lowered onto `base` at its own seed.
+fn b5_counts(cell: &Scenario, base: &ExperimentConfig) -> ConfusionCounts {
+    let result = PaperExperiment::new(cell.config(base, base.seed))
+        .unwrap()
+        .run()
+        .unwrap();
+    result
+        .table1
+        .iter()
+        .find(|r| r.dataset == "B5")
+        .unwrap()
+        .counts
 }
 
 fn multiparameter_stack(base: &ExperimentConfig) -> ChannelStack {
@@ -46,20 +61,16 @@ fn dormant_payload_invisible_to_power_only_but_caught_by_wider_stack() {
         suite.clone(),
         ProcessCorner::Typical,
         TechnologyPreset::paper(),
-    )
-    .run(&base, base.seed)
-    .unwrap();
+    );
     let wide = Scenario::new(
         multiparameter_stack(&base),
         suite,
         ProcessCorner::Typical,
         TechnologyPreset::paper(),
-    )
-    .run(&base, base.seed)
-    .unwrap();
+    );
 
-    let b5_power = power_only.row("B5").unwrap().counts;
-    let b5_wide = wide.row("B5").unwrap().counts;
+    let b5_power = b5_counts(&power_only, &base);
+    let b5_wide = b5_counts(&wide, &base);
     let infested = b5_power.infested_total();
     assert_eq!(infested, 20);
 
@@ -105,10 +116,8 @@ fn always_on_trojans_remain_detected_with_the_wider_stack() {
         TrojanSuite::rf_leaks(base.amplitude_delta, base.frequency_delta),
         ProcessCorner::Typical,
         TechnologyPreset::paper(),
-    )
-    .run(&base, base.seed)
-    .unwrap();
-    let b5 = wide.row("B5").unwrap().counts;
+    );
+    let b5 = b5_counts(&wide, &base);
     assert!(
         b5.false_positives() <= b5.infested_total() / 10,
         "B5 missed {}/{} RF-leak Trojans",

@@ -24,9 +24,8 @@
 //!   records, which the binaries write through [`record`].
 //!
 //! Every binary checks its command line through [`args`] before it does
-//! any work. The criterion benches in `benches/` measure components and
-//! the packed GEMM; timings of the whole pipeline come from the separate
-//! `benchmark` package.
+//! any work. Timings, of the whole pipeline and of its layers, come from
+//! the separate `benchmark` package.
 
 #![warn(missing_docs)]
 

@@ -199,14 +199,13 @@ impl FittedModel {
 
     /// Captures the fitted state out of an already-completed run.
     ///
-    /// The silicon-anchored KDE is refit on the S4 fingerprints with the
-    /// run's own KDE settings — a deterministic, cheap (`mc_samples`-row)
-    /// solve — so the artifact can synthesize scoring batches without
+    /// The artifact keeps the silicon stage's S4 KDE (the one S5 was
+    /// sampled from), so it can synthesize scoring batches without
     /// carrying the 10⁵-row S5 matrix.
     ///
     /// # Errors
     ///
-    /// Propagates state-export and KDE-fit errors.
+    /// Propagates state-export and sanitizer-threshold errors.
     pub fn from_artifacts(
         config: &ExperimentConfig,
         arts: &RunArtifacts,
@@ -225,7 +224,6 @@ impl FittedModel {
             arts.premanufacturing.predictor.input_dim(),
             arts.premanufacturing.predictor.space(),
         )?;
-        let kde = AdaptiveKde::fit(arts.silicon.s4.fingerprints(), &config.kde)?;
         let pcms = arts.silicon.dutts.pcms();
         let pcm_medians = (0..pcms.ncols())
             .map(|j| descriptive::median(&pcms.col(j)).map_err(CoreError::from))
@@ -248,7 +246,7 @@ impl FittedModel {
             predictor,
             boundaries,
             kmm_weights: arts.silicon.kmm_weights.clone(),
-            kde,
+            kde: arts.silicon.kde.clone(),
             pcm_medians,
         })
     }

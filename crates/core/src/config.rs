@@ -4,6 +4,7 @@ use sidefp_chip::channel::ChannelStack;
 use sidefp_chip::measurement::SideChannelMeter;
 use sidefp_chip::trojan::{Trojan, TrojanSuite};
 use sidefp_faults::FaultPlan;
+use sidefp_linalg::Matrix;
 use sidefp_silicon::environment::Environment;
 use sidefp_silicon::foundry::ProcessShift;
 use sidefp_silicon::params::ProcessFactor;
@@ -27,6 +28,41 @@ pub enum RegressionSpace {
     /// for multiplicative device physics; default.
     #[default]
     Log,
+}
+
+impl RegressionSpace {
+    /// Converts PCMs into the space the KMM mean shift runs in: PCM
+    /// quantities like leakage are log-scale, and a linear-space
+    /// translation could push them negative.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] if log space meets a non-positive PCM.
+    pub(crate) fn to_shift_space(self, pcms: &Matrix) -> Result<Matrix, CoreError> {
+        match self {
+            RegressionSpace::Linear => Ok(pcms.clone()),
+            RegressionSpace::Log => {
+                if pcms.as_slice().iter().any(|v| *v <= 0.0) {
+                    return Err(CoreError::InvalidConfig {
+                        name: "pcms",
+                        reason: "log-space calibration requires strictly positive PCM values"
+                            .into(),
+                    });
+                }
+                Ok(Matrix::from_fn(pcms.nrows(), pcms.ncols(), |i, j| {
+                    pcms[(i, j)].ln()
+                }))
+            }
+        }
+    }
+
+    /// The inverse of [`RegressionSpace::to_shift_space`]: back to PCM units.
+    pub(crate) fn to_pcm_units(self, m: &Matrix) -> Matrix {
+        match self {
+            RegressionSpace::Linear => m.clone(),
+            RegressionSpace::Log => Matrix::from_fn(m.nrows(), m.ncols(), |i, j| m[(i, j)].exp()),
+        }
+    }
 }
 
 /// Which regression family maps PCMs to fingerprints.

@@ -105,17 +105,12 @@ impl PaperExperiment {
     ///
     /// Propagates any stage error.
     pub fn run_in_context(&self, obs: &RunContext) -> Result<RunArtifacts, CoreError> {
-        let par = self.config.parallelism;
-        // Clamp to the machine: oversubscribing the worker pool beyond the
-        // available cores only adds scheduling overhead.
-        let threads = par.effective_threads();
-        sidefp_parallel::with_threads(threads, || {
-            sidefp_parallel::with_determinism(par.deterministic, || self.run_stages(obs, threads))
-        })
+        self.in_worker_pool(|threads| self.run_stages(obs, threads))
     }
 
-    /// Opens a streaming wafer-lot session under this configuration: the
-    /// pre-manufacturing stage runs once, then each
+    /// Opens a streaming wafer-lot session under this configuration,
+    /// recording setup spans, solver rescues and later per-lot decisions
+    /// into `obs`: the pre-manufacturing stage runs once, then each
     /// [`advance`](crate::stages::recalibrate::LotStream::advance) call
     /// measures a lot, checks it for drift and recalibrates as needed.
     ///
@@ -126,30 +121,25 @@ impl PaperExperiment {
     /// # Errors
     ///
     /// Propagates drift-plan validation and pre-manufacturing errors.
-    pub fn stream(
-        &self,
-        drift: sidefp_faults::DriftPlan,
-    ) -> Result<crate::stages::recalibrate::LotStream, CoreError> {
-        self.stream_observed(drift, &RunContext::new())
-    }
-
-    /// [`PaperExperiment::stream`] recording setup spans, solver rescues
-    /// and later per-lot decisions into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PaperExperiment::stream`].
     pub fn stream_observed(
         &self,
         drift: sidefp_faults::DriftPlan,
         obs: &RunContext,
     ) -> Result<crate::stages::recalibrate::LotStream, CoreError> {
+        self.in_worker_pool(|_| {
+            crate::stages::recalibrate::LotStream::new_observed(self.config.clone(), drift, obs)
+        })
+    }
+
+    /// Runs `f` inside the worker pool [`crate::ParallelismConfig`]
+    /// describes, handing it the resolved worker count.
+    fn in_worker_pool<T>(&self, f: impl FnOnce(usize) -> T) -> T {
         let par = self.config.parallelism;
+        // Clamp to the machine: oversubscribing the worker pool beyond the
+        // available cores only adds scheduling overhead.
         let threads = par.effective_threads();
         sidefp_parallel::with_threads(threads, || {
-            sidefp_parallel::with_determinism(par.deterministic, || {
-                crate::stages::recalibrate::LotStream::new_observed(self.config.clone(), drift, obs)
-            })
+            sidefp_parallel::with_determinism(par.deterministic, || f(threads))
         })
     }
 
@@ -160,16 +150,7 @@ impl PaperExperiment {
         resolved_threads: usize,
     ) -> Result<RunArtifacts, CoreError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut bench = Testbench::random(
-            &mut rng,
-            self.config.fingerprint_blocks,
-            self.config.pcm_suite.clone(),
-        )?
-        .with_meter(self.config.meter.clone());
-        if let Some(channels) = &self.config.channels {
-            bench = bench.with_channels(channels.clone());
-        }
-
+        let bench = Testbench::from_config(&self.config, &mut rng)?;
         let pre = PremanufacturingStage::run_observed(&self.config, &bench, &mut rng, obs)?;
         let silicon = SiliconStage::run_observed(&self.config, &bench, &pre, &mut rng, obs)?;
 

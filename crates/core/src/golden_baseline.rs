@@ -13,25 +13,12 @@ use crate::report::Table1Row;
 use crate::CoreError;
 
 /// Trains the golden-chip boundary on the Trojan-free devices' measured
-/// fingerprints and evaluates it on the full population.
+/// fingerprints and evaluates it on the full population, recording the
+/// `boundary.golden` fit span and any SVM rescues into `obs`.
 ///
 /// # Errors
 ///
 /// Propagates boundary training and classification errors.
-pub fn run(
-    population: &DuttPopulation,
-    config: &BoundaryConfig,
-    seed: u64,
-) -> Result<(TrustedBoundary, Table1Row), CoreError> {
-    run_observed(population, config, seed, &sidefp_obs::RunContext::new())
-}
-
-/// [`run`] recording the `boundary.golden` fit span and any SVM rescues
-/// into `obs` instead of the throwaway context.
-///
-/// # Errors
-///
-/// Same as [`run`].
 pub fn run_observed(
     population: &DuttPopulation,
     config: &BoundaryConfig,
@@ -75,7 +62,13 @@ mod tests {
         variants.extend(vec!["amplitude"; 60]);
         let pop = DuttPopulation::new(fps, Matrix::zeros(90, 1), labels, variants).unwrap();
 
-        let (boundary, row) = run(&pop, &BoundaryConfig::default(), 1).unwrap();
+        let (boundary, row) = run_observed(
+            &pop,
+            &BoundaryConfig::default(),
+            1,
+            &sidefp_obs::RunContext::new(),
+        )
+        .unwrap();
         assert_eq!(boundary.name(), "golden");
         assert_eq!(row.dataset, "golden");
         // No missed Trojans; few (ν-governed) false alarms on training data.

@@ -19,6 +19,7 @@ use sidefp_chip::channel::ChannelStack;
 use sidefp_chip::measurement::{FingerprintPlan, SideChannelMeter};
 use sidefp_silicon::pcm::PcmSuite;
 
+use crate::config::ExperimentConfig;
 use crate::CoreError;
 
 /// The shared test setup: on-chip key, fingerprint measurement plan, the
@@ -60,6 +61,22 @@ impl Testbench {
             channels: ChannelStack::power_only(meter.clone()),
             meter,
             pcm_suite,
+        })
+    }
+
+    /// The bench `config` describes: a [`Testbench::random`] draw with its
+    /// block count and PCM suite, measured through its meter and, when it
+    /// sets one, its side-channel stack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for a zero block count.
+    pub fn from_config<R: Rng>(config: &ExperimentConfig, rng: &mut R) -> Result<Self, CoreError> {
+        let bench = Testbench::random(rng, config.fingerprint_blocks, config.pcm_suite.clone())?
+            .with_meter(config.meter.clone());
+        Ok(match &config.channels {
+            Some(channels) => bench.with_channels(channels.clone()),
+            None => bench,
         })
     }
 

@@ -41,27 +41,13 @@ pub struct PremanufacturingStage {
 }
 
 impl PremanufacturingStage {
-    /// Runs the stage.
+    /// Runs the stage, recording into `obs`: the `mc`/`regression`/`kde.s2`
+    /// spans, the B1/B2 boundary fits and every solver rescue land on the
+    /// run's own timings, counters and trace ring.
     ///
     /// # Errors
     ///
     /// Propagates Monte Carlo, regression, KDE and SVM errors.
-    pub fn run<R: Rng>(
-        config: &ExperimentConfig,
-        bench: &Testbench,
-        rng: &mut R,
-    ) -> Result<Self, CoreError> {
-        Self::run_observed(config, bench, rng, &sidefp_obs::RunContext::new())
-    }
-
-    /// [`PremanufacturingStage::run`] recording into `obs` instead of the
-    /// throwaway context: the `mc`/`regression`/`kde.s2` spans, the
-    /// B1/B2 boundary fits and every solver rescue land on the run's own
-    /// timings, counters and trace ring.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PremanufacturingStage::run`].
     pub fn run_observed<R: Rng>(
         config: &ExperimentConfig,
         bench: &Testbench,
@@ -159,7 +145,7 @@ mod tests {
         let config = small_config();
         let mut rng = StdRng::seed_from_u64(seed);
         let bench = Testbench::random(&mut rng, 6, PcmSuite::paper_default()).unwrap();
-        PremanufacturingStage::run(&config, &bench, &mut rng).unwrap()
+        PremanufacturingStage::run_observed(&config, &bench, &mut rng, &RunContext::new()).unwrap()
     }
 
     #[test]

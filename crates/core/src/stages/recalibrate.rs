@@ -36,12 +36,12 @@ use sidefp_stats::kde::AdaptiveKde;
 use sidefp_stats::{KernelMeanMatching, OneClassSvmConfig};
 
 use crate::boundary::TrustedBoundary;
-use crate::config::{ExperimentConfig, RegressionSpace};
+use crate::config::ExperimentConfig;
 use crate::dataset::DuttPopulation;
 use crate::health::RecalHealth;
 use crate::report::Table1Row;
 use crate::spc::{EwmaChart, SpcMonitor, SpcReport};
-use crate::stages::silicon_stage::log_matrix;
+use crate::stages::silicon_stage::{fit_silicon, SiliconFit};
 use crate::stages::{trojan_test, PremanufacturingStage, SiliconStage, Testbench};
 use crate::CoreError;
 
@@ -119,12 +119,11 @@ struct FittedState {
     /// KDE fitted on the full-refit S4; incremental lots only refresh its
     /// bandwidth.
     kde: AdaptiveKde,
-    /// Per-column standard deviations of the full-refit S4 (fingerprint
-    /// space), for the bandwidth spread ratio.
-    s4_sds: Vec<f64>,
-    /// Column means of the full-refit S4, for translating fresh KDE
-    /// samples to a drifted operating point.
-    s4_means: Vec<f64>,
+    /// S3 of the full refit.
+    s3: Matrix,
+    /// S4 of the full refit: its per-column spread and means anchor the
+    /// bandwidth refresh and the translation of fresh KDE samples.
+    s4: Matrix,
     /// Bandwidth the KDE was fitted with at the full refit.
     s4_bandwidth: f64,
     /// Silicon boundaries at the current operating point.
@@ -205,15 +204,7 @@ impl LotStream {
         config.validate()?;
         drift.validate().map_err(CoreError::from)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut bench = Testbench::random(
-            &mut rng,
-            config.fingerprint_blocks,
-            config.pcm_suite.clone(),
-        )?
-        .with_meter(config.meter.clone());
-        if let Some(channels) = &config.channels {
-            bench = bench.with_channels(channels.clone());
-        }
+        let bench = Testbench::from_config(&config, &mut rng)?;
         let pre = PremanufacturingStage::run_observed(&config, &bench, &mut rng, obs)?;
         let sample_rng = StdRng::seed_from_u64(sidefp_parallel::fork_seed(config.seed, 0x5a17));
         Ok(LotStream {
@@ -253,11 +244,42 @@ impl LotStream {
     /// Panics if called before the first [`LotStream::advance`] — there is
     /// no silicon-side state yet.
     pub fn boundaries(&self) -> [&TrustedBoundary; 5] {
-        let f = self
-            .fitted
-            .as_ref()
-            .expect("boundaries() before the calibration lot");
+        let f = self.fitted();
         [&self.pre.b1, &self.pre.b2, &f.b3, &f.b4, &f.b5]
+    }
+
+    /// S3 of the last full refit (the calibration lot's until drift forces
+    /// another).
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LotStream::boundaries`].
+    pub fn s3(&self) -> &Matrix {
+        &self.fitted().s3
+    }
+
+    /// S4 of the last full refit.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LotStream::boundaries`].
+    pub fn s4(&self) -> &Matrix {
+        &self.fitted().s4
+    }
+
+    /// KMM importance weights at the current operating point.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LotStream::boundaries`].
+    pub fn kmm_weights(&self) -> &[f64] {
+        self.fitted().kmm.weights()
+    }
+
+    fn fitted(&self) -> &FittedState {
+        self.fitted
+            .as_ref()
+            .expect("silicon-side state read before the calibration lot")
     }
 
     /// Measures, drift-perturbs and processes the next lot, returning
@@ -426,68 +448,24 @@ impl LotStream {
         })
     }
 
-    /// Converts PCMs into the regression's coordinate space.
-    fn to_shift_space(&self, pcms: &Matrix) -> Result<Matrix, CoreError> {
-        match self.config.regression_space {
-            RegressionSpace::Linear => Ok(pcms.clone()),
-            RegressionSpace::Log => log_matrix(pcms),
-        }
-    }
-
-    /// Converts a shift-space matrix back to PCM units.
-    fn unshift_space(&self, m: &Matrix) -> Matrix {
-        match self.config.regression_space {
-            RegressionSpace::Linear => m.clone(),
-            RegressionSpace::Log => Matrix::from_fn(m.nrows(), m.ncols(), |i, j| m[(i, j)].exp()),
-        }
-    }
-
-    /// Rebuilds the whole silicon-side state from this lot, exactly like
-    /// [`SiliconStage::run_observed`] does for a single-shot experiment,
-    /// and re-references both SPC charts to the lot's PCM population.
+    /// Rebuilds the whole silicon-side state from this lot through the
+    /// same fit as [`SiliconStage::run_observed`], and re-references both
+    /// SPC charts to the lot's PCM population.
     fn full_refit(&mut self, dutts: &DuttPopulation) -> Result<FittedState, CoreError> {
         let obs = self.obs.clone();
         let _span = obs.span("recalibrate.full_refit");
         let config = &self.config;
-
-        // S3 / B3 from the silicon PCMs.
-        let s3 = self.pre.predictor.predict_rows(dutts.pcms())?;
-        let b3 = TrustedBoundary::fit_observed("B3", &s3, &config.boundary, config.seed ^ 0xb3, {
-            &obs
-        })?;
-
-        // Full iterated kernel mean shift of the simulation population to
-        // this lot's operating point, then the KMM fit.
-        let sim_pcms = self.to_shift_space(&self.pre.pcms)?;
-        let si_pcms = self.to_shift_space(dutts.pcms())?;
-        let shifted = KernelMeanMatching::mean_shift_population_observed(
-            &sim_pcms,
-            &si_pcms,
-            &config.kmm,
-            config.kmm_iterations,
-            &obs,
-        )?;
-        let kmm = KernelMeanMatching::fit_observed(&shifted, &si_pcms, &config.kmm, &obs)?;
-
-        // S4 / B4 from the calibrated simulation population.
-        let s4 = self
-            .pre
-            .predictor
-            .predict_rows(&self.unshift_space(&shifted))?;
-        let b4 = TrustedBoundary::fit_observed("B4", &s4, &config.boundary, config.seed ^ 0xb4, {
-            &obs
-        })?;
-
-        // S5 / B5: KDE tail enhancement.
-        let kde = AdaptiveKde::fit_observed(&s4, &config.kde, &obs)?;
-        let s5 = kde.sample_matrix_streamed(self.sample_rng.next_u64(), config.kde_samples);
-        let b5 = TrustedBoundary::fit_observed(
-            "B5",
-            &s5,
-            &config.enhanced_boundary,
-            config.seed ^ 0xb5,
-            &obs,
-        )?;
+        let SiliconFit {
+            s3,
+            s4,
+            shifted,
+            kmm,
+            kde,
+            b3,
+            b4,
+            b5,
+            ..
+        } = fit_silicon(config, &self.pre, dutts, self.sample_rng.next_u64(), &obs)?;
 
         // Re-reference the charts: this lot's population is the new
         // in-control point, and accumulated EWMA history no longer
@@ -495,17 +473,21 @@ impl LotStream {
         let recal = config.recalibration;
         let monitor = SpcMonitor::calibrate_with_limit(dutts.pcms(), recal.control_limit)?;
         let ewma = monitor.ewma(recal.ewma_lambda)?;
+        let si_mean = config
+            .regression_space
+            .to_shift_space(dutts.pcms())?
+            .column_means();
         let s4_bandwidth = kde.bandwidth();
 
         Ok(FittedState {
             monitor,
             ewma,
-            si_mean: si_pcms.column_means(),
             shifted,
+            si_mean,
             kmm,
             kde,
-            s4_sds: column_sds(&s4),
-            s4_means: s4.column_means(),
+            s3,
+            s4,
             s4_bandwidth,
             b3,
             b4,
@@ -541,7 +523,8 @@ impl LotStream {
 
         // Translation delta in shift space, measured from the full-refit
         // anchor so successive incremental steps compose.
-        let si_pcms = self.to_shift_space(dutts.pcms())?;
+        let space = config.regression_space;
+        let si_pcms = space.to_shift_space(dutts.pcms())?;
         let lot_mean = si_pcms.column_means();
         let delta: Vec<f64> = lot_mean
             .iter()
@@ -565,17 +548,16 @@ impl LotStream {
         let s4 = self
             .pre
             .predictor
-            .predict_rows(&self.unshift_space(&shifted_new))?;
+            .predict_rows(&space.to_pcm_units(&shifted_new))?;
 
         // KDE bandwidth refresh from the S4 spread ratio; fresh samples
         // translated to the new fingerprint-space mean.
-        let s4_sds = column_sds(&s4);
-        let ratio = s4_sds
+        let ratio = column_sds(&s4)
             .iter()
-            .zip(&fitted.s4_sds)
+            .zip(&column_sds(&fitted.s4))
             .map(|(n, c)| if *c > 0.0 { n / c } else { 1.0 })
             .sum::<f64>()
-            / s4_sds.len().max(1) as f64;
+            / s4.ncols().max(1) as f64;
         fitted
             .kde
             .refresh_bandwidth((fitted.s4_bandwidth * ratio).max(f64::MIN_POSITIVE))?;
@@ -585,7 +567,7 @@ impl LotStream {
         let s5_shift: Vec<f64> = s4
             .column_means()
             .iter()
-            .zip(&fitted.s4_means)
+            .zip(&fitted.s4.column_means())
             .map(|(n, c)| n - c)
             .collect();
         for i in 0..s5.nrows() {

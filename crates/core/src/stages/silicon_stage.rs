@@ -23,7 +23,7 @@ use sidefp_stats::{DetectionLabel, KernelMeanMatching};
 use sidefp_obs::{RunContext, TraceEvent};
 
 use crate::boundary::TrustedBoundary;
-use crate::config::{ExperimentConfig, RegressionSpace};
+use crate::config::ExperimentConfig;
 use crate::dataset::{Dataset, DuttPopulation};
 use crate::health::MeasurementHealth;
 use crate::stages::sanitize::sanitize_measurements;
@@ -52,6 +52,8 @@ pub struct SiliconStage {
     pub b5: TrustedBoundary,
     /// The KMM importance weights on the simulated PCM population.
     pub kmm_weights: Vec<f64>,
+    /// The adaptive KDE fitted on S4, which S5 was sampled from.
+    pub kde: AdaptiveKde,
 }
 
 /// One lot's raw tester output, before fault injection and sanitization.
@@ -75,43 +77,108 @@ pub(crate) struct RawLotMeasurement {
     pub positions: Vec<sidefp_silicon::wafer::DiePosition>,
 }
 
-/// Element-wise natural log of a strictly positive matrix.
-pub(crate) fn log_matrix(m: &Matrix) -> Result<Matrix, CoreError> {
-    if m.as_slice().iter().any(|v| *v <= 0.0) {
-        return Err(CoreError::InvalidConfig {
-            name: "pcms",
-            reason: "log-space calibration requires strictly positive PCM values".into(),
-        });
-    }
-    Ok(Matrix::from_fn(m.nrows(), m.ncols(), |i, j| m[(i, j)].ln()))
+/// The post-measurement silicon fit (paper §2.2) on one DUTT population:
+/// the datasets, the calibration state and the three boundaries.
+pub(crate) struct SiliconFit {
+    /// S3: fingerprints predicted from the DUTTs' own PCMs.
+    pub s3: Matrix,
+    /// S4: fingerprints predicted from the KMM-shifted simulation PCMs.
+    pub s4: Matrix,
+    /// S5: KDE enhancement of S4.
+    pub s5: Matrix,
+    /// The mean-shift-calibrated simulation PCM population, in the
+    /// regression's coordinate space.
+    pub shifted: Matrix,
+    /// KMM fitted on `shifted` against the DUTT PCMs.
+    pub kmm: KernelMeanMatching,
+    /// The KDE fitted on S4, which S5 is sampled from.
+    pub kde: AdaptiveKde,
+    /// Boundary from S3.
+    pub b3: TrustedBoundary,
+    /// Boundary from S4.
+    pub b4: TrustedBoundary,
+    /// Boundary from S5.
+    pub b5: TrustedBoundary,
+}
+
+/// Fits S3–S5 and B3–B5 to a measured DUTT population: the one
+/// calibration path of both [`SiliconStage::run_observed`] and the lot
+/// stream's full refit. S5 is sampled from the S4 KDE on per-row
+/// parallel RNG streams forked from `kde_seed`; the `kmm` and `kde.s5`
+/// spans and every boundary fit record into `obs`.
+///
+/// # Errors
+///
+/// Propagates regression, KMM, KDE and SVM errors, and
+/// [`CoreError::InvalidConfig`] for non-positive PCMs in log space.
+pub(crate) fn fit_silicon(
+    config: &ExperimentConfig,
+    pre: &PremanufacturingStage,
+    dutts: &DuttPopulation,
+    kde_seed: u64,
+    obs: &RunContext,
+) -> Result<SiliconFit, CoreError> {
+    // S3: predict golden fingerprints from the silicon PCMs.
+    let s3 = pre.predictor.predict_rows(dutts.pcms())?;
+    let b3 = TrustedBoundary::fit_observed("B3", &s3, &config.boundary, config.seed ^ 0xb3, obs)?;
+
+    // S4: calibrate the simulated PCM population to the silicon operating
+    // point via the iterated kernel mean shift, then push through the
+    // regressions. The shift runs in the regression's coordinate space.
+    // (The final KMM fit also yields the importance weights we report.)
+    let space = config.regression_space;
+    let sim_pcms = space.to_shift_space(&pre.pcms)?;
+    let si_pcms = space.to_shift_space(dutts.pcms())?;
+    let kmm_span = obs.span("kmm");
+    let shifted = KernelMeanMatching::mean_shift_population_observed(
+        &sim_pcms,
+        &si_pcms,
+        &config.kmm,
+        config.kmm_iterations,
+        obs,
+    )?;
+    let kmm = KernelMeanMatching::fit_observed(&shifted, &si_pcms, &config.kmm, obs)?;
+    drop(kmm_span);
+    let s4 = pre.predictor.predict_rows(&space.to_pcm_units(&shifted))?;
+    let b4 = TrustedBoundary::fit_observed("B4", &s4, &config.boundary, config.seed ^ 0xb4, obs)?;
+
+    // S5: KDE tail enhancement of S4.
+    let kde_span = obs.span("kde.s5");
+    let kde = AdaptiveKde::fit_observed(&s4, &config.kde, obs)?;
+    let s5 = kde.sample_matrix_streamed(kde_seed, config.kde_samples);
+    drop(kde_span);
+    let b5 = TrustedBoundary::fit_observed(
+        "B5",
+        &s5,
+        &config.enhanced_boundary,
+        config.seed ^ 0xb5,
+        obs,
+    )?;
+
+    Ok(SiliconFit {
+        s3,
+        s4,
+        s5,
+        shifted,
+        kmm,
+        kde,
+        b3,
+        b4,
+        b5,
+    })
 }
 
 impl SiliconStage {
-    /// Runs the stage.
+    /// Runs the stage, recording into the caller's [`RunContext`] `obs`:
+    /// the `measure`/`kmm`/`kde.s5` spans, the B3–B5 boundary fits, every
+    /// solver rescue and each quarantined device land on the run's own
+    /// timings, counters and trace ring.
     ///
     /// # Errors
     ///
     /// - [`CoreError::InvalidConfig`] if the requested chip count exceeds
     ///   the lot capacity.
     /// - Propagates fabrication, regression, KMM, KDE and SVM errors.
-    pub fn run<R: Rng>(
-        config: &ExperimentConfig,
-        bench: &Testbench,
-        pre: &PremanufacturingStage,
-        rng: &mut R,
-    ) -> Result<Self, CoreError> {
-        Self::run_observed(config, bench, pre, rng, &sidefp_obs::RunContext::new())
-    }
-
-    /// [`SiliconStage::run`] recording into the caller's [`RunContext`]
-    /// `obs` instead of a throwaway one: the `measure`/`kmm`/`kde.s5`
-    /// spans, the B3–B5 boundary fits, every solver rescue and each
-    /// quarantined device land on the run's own timings, counters and
-    /// trace ring.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SiliconStage::run`].
     pub fn run_observed<R: Rng>(
         config: &ExperimentConfig,
         bench: &Testbench,
@@ -119,96 +186,27 @@ impl SiliconStage {
         rng: &mut R,
         obs: &RunContext,
     ) -> Result<Self, CoreError> {
+        // The raw tester matrices pass through the configured fault
+        // injector (a no-op by default) and the measurement sanitizer, so
+        // the fit only ever sees finite, positive-PCM, one-row-per-device
+        // data.
         let measure_span = obs.span("measure");
-        let (dutts, health) = Self::fabricate_and_measure(config, bench, rng, obs)?;
+        let raw = Self::measure_raw_lot(config, bench, rng)?;
+        let (dutts, health) = Self::assemble_lot(config, raw, obs)?;
         drop(measure_span);
-
-        // S3: predict golden fingerprints from the silicon PCMs.
-        let s3_matrix = pre.predictor.predict_rows(dutts.pcms())?;
-        let b3 = TrustedBoundary::fit_observed(
-            "B3",
-            &s3_matrix,
-            &config.boundary,
-            config.seed ^ 0xb3,
-            obs,
-        )?;
-
-        // S4: calibrate the simulated PCM population to the silicon
-        // operating point via the iterated kernel mean shift, then push
-        // through the regressions. The shift runs in the regression's
-        // coordinate space: PCM quantities like leakage are log-scale, and
-        // a linear-space translation could push them negative. (The final
-        // KMM fit also yields the importance weights we report.)
-        let (sim_pcms, si_pcms) = match config.regression_space {
-            RegressionSpace::Linear => (pre.pcms.clone(), dutts.pcms().clone()),
-            RegressionSpace::Log => (log_matrix(&pre.pcms)?, log_matrix(dutts.pcms())?),
-        };
-        let kmm_span = obs.span("kmm");
-        let shifted = KernelMeanMatching::mean_shift_population_observed(
-            &sim_pcms,
-            &si_pcms,
-            &config.kmm,
-            config.kmm_iterations,
-            obs,
-        )?;
-        let kmm = KernelMeanMatching::fit_observed(&shifted, &si_pcms, &config.kmm, obs)?;
-        drop(kmm_span);
-        let shifted_pcms = match config.regression_space {
-            RegressionSpace::Linear => shifted,
-            RegressionSpace::Log => Matrix::from_fn(shifted.nrows(), shifted.ncols(), |i, j| {
-                shifted[(i, j)].exp()
-            }),
-        };
-        let s4_matrix = pre.predictor.predict_rows(&shifted_pcms)?;
-        let b4 = TrustedBoundary::fit_observed(
-            "B4",
-            &s4_matrix,
-            &config.boundary,
-            config.seed ^ 0xb4,
-            obs,
-        )?;
-
-        // S5: KDE tail enhancement of S4, sampled on per-row parallel
-        // RNG streams.
-        let kde_span = obs.span("kde.s5");
-        let kde = AdaptiveKde::fit_observed(&s4_matrix, &config.kde, obs)?;
-        let s5_matrix = kde.sample_matrix_streamed(rng.next_u64(), config.kde_samples);
-        drop(kde_span);
-        let b5 = TrustedBoundary::fit_observed(
-            "B5",
-            &s5_matrix,
-            &config.enhanced_boundary,
-            config.seed ^ 0xb5,
-            obs,
-        )?;
-
+        let fit = fit_silicon(config, pre, &dutts, rng.next_u64(), obs)?;
         Ok(SiliconStage {
             dutts,
             health,
-            s3: Dataset::new("S3", s3_matrix),
-            s4: Dataset::new("S4", s4_matrix),
-            s5: Dataset::new("S5", s5_matrix),
-            b3,
-            b4,
-            b5,
-            kmm_weights: kmm.weights().to_vec(),
+            s3: Dataset::new("S3", fit.s3),
+            s4: Dataset::new("S4", fit.s4),
+            s5: Dataset::new("S5", fit.s5),
+            b3: fit.b3,
+            b4: fit.b4,
+            b5: fit.b5,
+            kmm_weights: fit.kmm.weights().to_vec(),
+            kde: fit.kde,
         })
-    }
-
-    /// Fabricates the DUTT lot and measures all `chips × variants` devices.
-    ///
-    /// The raw tester matrices pass through the configured fault injector
-    /// (a no-op by default) and then the measurement sanitizer before the
-    /// DUTT population is assembled, so downstream stages only ever see
-    /// finite, positive-PCM, one-row-per-device data.
-    fn fabricate_and_measure<R: Rng>(
-        config: &ExperimentConfig,
-        bench: &Testbench,
-        rng: &mut R,
-        obs: &RunContext,
-    ) -> Result<(DuttPopulation, MeasurementHealth), CoreError> {
-        let raw = Self::measure_raw_lot(config, bench, rng)?;
-        Self::assemble_lot(config, raw, obs)
     }
 
     /// Fabricates one lot and measures all `chips × variants` raw devices,
@@ -384,8 +382,12 @@ mod tests {
         let config = small_config();
         let mut rng = StdRng::seed_from_u64(seed);
         let bench = Testbench::random(&mut rng, 6, PcmSuite::paper_default()).unwrap();
-        let pre = PremanufacturingStage::run(&config, &bench, &mut rng).unwrap();
-        let silicon = SiliconStage::run(&config, &bench, &pre, &mut rng).unwrap();
+        let pre =
+            PremanufacturingStage::run_observed(&config, &bench, &mut rng, &RunContext::new())
+                .unwrap();
+        let silicon =
+            SiliconStage::run_observed(&config, &bench, &pre, &mut rng, &RunContext::new())
+                .unwrap();
         (pre, silicon, config)
     }
 
@@ -446,8 +448,12 @@ mod tests {
             sidefp_faults::FaultPlan::single(sidefp_faults::FaultClass::NanReading, 0.2, 99);
         let mut rng = StdRng::seed_from_u64(6);
         let bench = Testbench::random(&mut rng, 6, PcmSuite::paper_default()).unwrap();
-        let pre = PremanufacturingStage::run(&config, &bench, &mut rng).unwrap();
-        let silicon = SiliconStage::run(&config, &bench, &pre, &mut rng).unwrap();
+        let pre =
+            PremanufacturingStage::run_observed(&config, &bench, &mut rng, &RunContext::new())
+                .unwrap();
+        let silicon =
+            SiliconStage::run_observed(&config, &bench, &pre, &mut rng, &RunContext::new())
+                .unwrap();
         assert!(silicon.health.injected_faults > 0);
         assert!(!silicon.health.is_clean());
         // Whatever the injector did, the population the boundaries see is
@@ -467,8 +473,13 @@ mod tests {
         config.chips = 10_000;
         let mut rng = StdRng::seed_from_u64(4);
         let bench = Testbench::random(&mut rng, 6, PcmSuite::paper_default()).unwrap();
-        let pre = PremanufacturingStage::run(&config, &bench, &mut rng).unwrap();
-        assert!(SiliconStage::run(&config, &bench, &pre, &mut rng).is_err());
+        let pre =
+            PremanufacturingStage::run_observed(&config, &bench, &mut rng, &RunContext::new())
+                .unwrap();
+        assert!(
+            SiliconStage::run_observed(&config, &bench, &pre, &mut rng, &RunContext::new())
+                .is_err()
+        );
     }
 
     #[test]

@@ -7,10 +7,6 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The criterion benches are not exercised by tests or clippy's default
-# profile; compile them so bench-only breakage can't land silently.
-cargo bench --workspace --no-run -q
-
 # The benchmark package is a workspace of its own, so nothing above
 # compiles it. Build and test it here: narrowing a `pub` item it imports
 # must fail this gate, not the next benchmark run.
@@ -160,6 +156,10 @@ else
     # round-trip byte-exactly and the loaded model must score
     # bit-identically to the in-process fit at any thread count.
     cargo test -q -p sidefp-core --test fitted_model
+    # One-calibration-path smoke: the lot stream's calibration lot must
+    # reproduce the single-shot silicon stage's S3, S4, KMM weights and
+    # B3/B4 solves bit for bit.
+    cargo test -q -p sidefp-core --test drift_stream calibration_lot_reproduces_the_single_shot_silicon_fit
     # Steady-state allocation smoke: warm KDE density, OCSVM decision and
     # per-device score_into loops must request zero heap blocks, and
     # streamed KDE sampling the same blocks at 10^3 as at 10^5 rows.

@@ -8,8 +8,11 @@
 //! tolerance on every lot, and the Trojans planted in every lot must keep
 //! alarming throughout the drift.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sidefp_core::stages::recalibrate::{LotAction, LotOutcome, LotStream};
-use sidefp_core::{ExperimentConfig, RecalHealth};
+use sidefp_core::stages::{PremanufacturingStage, SiliconStage, Testbench};
+use sidefp_core::{ExperimentConfig, RecalHealth, RunContext, TrustedBoundary};
 use sidefp_faults::{DriftClass, DriftPlan};
 
 const LOTS: usize = 6;
@@ -143,4 +146,44 @@ fn drifted_stream_decisions_are_reproducible() {
     // The drift plan must have actually perturbed the stream.
     assert!(a.iter().any(|o| !o.drift.is_empty()));
     assert!(a.iter().any(|o| o.action != LotAction::Accepted));
+}
+
+#[test]
+fn calibration_lot_reproduces_the_single_shot_silicon_fit() {
+    // The single-shot pipeline on the same config: the stream draws its
+    // bench, pre-manufacturing stage and lot-0 measurement from the same
+    // seeded RNG, and both fit S3/S4 and B3/B4 through one calibration
+    // path. (S5 and B5 differ: the stream samples its KDE from its own
+    // RNG stream.)
+    let cfg = config();
+    let ctx = RunContext::new();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let bench = Testbench::from_config(&cfg, &mut rng).expect("bench");
+    let pre = PremanufacturingStage::run_observed(&cfg, &bench, &mut rng, &ctx).expect("pre");
+    let si = SiliconStage::run_observed(&cfg, &bench, &pre, &mut rng, &ctx).expect("silicon");
+
+    let mut stream = LotStream::new(cfg, drift()).expect("stream setup");
+    let lot0 = stream.advance().expect("calibration lot");
+    assert!(lot0.drift.is_empty(), "the drift plan must spare lot 0");
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(
+        bits(stream.s3().as_slice()),
+        bits(si.s3.fingerprints().as_slice())
+    );
+    assert_eq!(
+        bits(stream.s4().as_slice()),
+        bits(si.s4.fingerprints().as_slice())
+    );
+    assert_eq!(bits(stream.kmm_weights()), bits(&si.kmm_weights));
+    let solve = |b: &TrustedBoundary| {
+        (
+            b.svm().rho().to_bits(),
+            b.svm().support_vector_count(),
+            b.solve_iterations(),
+        )
+    };
+    let [_, _, b3, b4, _] = stream.boundaries();
+    assert_eq!(solve(b3), solve(&si.b3), "B3");
+    assert_eq!(solve(b4), solve(&si.b4), "B4");
 }

@@ -63,6 +63,20 @@ fn artifact_round_trip_is_byte_exact() {
     assert_eq!(&reloaded.to_bytes(), bytes, "re-encode must be byte-exact");
 }
 
+/// The tiny fit's artifact bytes are pinned: any change to a fit stage,
+/// to the state the artifact adopts from it, or to the codec shows here.
+/// A deliberate change re-pins the checksum.
+#[test]
+fn tiny_artifact_bytes_are_pinned() {
+    let (_, bytes) = fitted();
+    // FNV-1a 64 over the whole encoded artifact, header and footer included.
+    let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(bytes.len(), 34_334);
+    assert_eq!(checksum, 0x7b7b_4b42_c6ea_bd3e, "got {checksum:#018x}");
+}
+
 #[test]
 fn loaded_model_scores_bit_identically_to_the_in_process_fit() {
     let (model, bytes) = fitted();

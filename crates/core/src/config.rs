@@ -115,16 +115,15 @@ impl Default for ParallelismConfig {
 
 impl ParallelismConfig {
     /// The worker count this configuration resolves to on the current
-    /// machine: `0` selects [`std::thread::available_parallelism`], and
-    /// explicit requests are clamped to it — oversubscribing a host with
-    /// more workers than cores buys no parallelism, only scheduling
-    /// overhead (on a 1-core host the unclamped default pool ran ~28%
-    /// slower than a single thread). Determinism is unaffected: with
-    /// `deterministic` set, results are bit-identical at any worker count.
+    /// machine: `0` selects [`sidefp_parallel::hardware_threads`], the
+    /// probe the worker pool is sized from, and explicit requests are
+    /// clamped to it — oversubscribing a host with more workers than
+    /// cores buys no parallelism, only scheduling overhead (on a 1-core
+    /// host the unclamped default pool ran ~28% slower than a single
+    /// thread). Determinism is unaffected: with `deterministic` set,
+    /// results are bit-identical at any worker count.
     pub fn effective_threads(&self) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let hw = sidefp_parallel::hardware_threads();
         if self.threads == 0 {
             hw
         } else {

@@ -1,41 +1,50 @@
 //! Data-parallel primitives for the sidefp numeric hot paths.
 //!
-//! Built on `std::thread::scope` rather than a pooled runtime, so workers
-//! borrow the caller's data without `Arc`. Each parallel section spawns
-//! and joins fresh threads, and that cost is not noise. One fork-join
-//! measured 49–88 µs (median 61 µs) on a 2-core host. One paper-default
-//! fit at 2 workers opens 234–242 sections: 202–207 [`map_indexed`]
-//! calls, 156 of them over at most 20 items, and 32–35
-//! [`for_each_split_mut`] calls. That is roughly 12–15 ms, about 5% of a
-//! 280 ms fit. A persistent worker pool with a sequential threshold for
-//! small sections is ROADMAP item 4.
+//! Every parallel section runs on one process-wide pool: up to N − 1
+//! parked helper threads, N being the cached hardware probe
+//! [`hardware_threads`], plus the calling thread, which always takes
+//! part. A section lives on the caller's stack. The caller posts it, idle
+//! helpers join it, and every participant drains its parts through one
+//! claim counter. Helpers only ever *join*: when another caller's section
+//! holds the pool, or no helper is free, the caller drains every part
+//! alone, so concurrent top-level callers never wait on each other. A
+//! section spawns no thread and allocates nothing, and each helper keeps
+//! its thread-local state (the GEMM panel workspace) warm from one
+//! section to the next. An empty section costs under 1 µs on a 2-core
+//! host, where spawning fresh scoped threads per section cost 60–95 µs,
+//! across the ~240 sections of one paper-default fit.
 //!
 //! Three ideas organize the crate:
 //!
 //! - **Order-preserving fan-out.** [`map_indexed`] splits `0..len` into
-//!   contiguous blocks, one per worker, and reassembles results in index
-//!   order — callers observe exactly the sequential result layout.
+//!   contiguous blocks, one per worker, and writes every result to its
+//!   index — callers observe exactly the sequential result layout.
 //! - **Disjoint mutable splits.** [`for_each_split_mut`] cuts one buffer
-//!   into caller-chosen contiguous parts (via repeated `split_at_mut`) and
-//!   lets the workers drain them as a tile queue, which is how GEMM row
-//!   stripes and feature-map rows are filled in place without locks.
+//!   into caller-chosen contiguous parts and lets the participants drain
+//!   them as a tile queue, which is how GEMM row stripes are filled in
+//!   place without locks; [`for_each_row_mut`] does the same for blocks
+//!   of rows.
 //! - **Deterministic RNG streams.** [`fork_seed`] derives independent
 //!   per-item seeds from a master seed, so stochastic results are a pure
 //!   function of the seed — identical at any thread count.
 //!
 //! Thread count resolution: a scoped override installed by
-//! [`with_threads`] wins, then `std::thread::available_parallelism()` —
-//! probed once and cached, because on Linux each probe re-reads the
-//! cgroup CPU quota files and heap-allocates, which would put `malloc`
-//! back on every allocation-free hot path that asks for the thread
-//! count. Worker
-//! threads run with an override of 1, so nested parallel calls inside a
-//! parallel section execute sequentially instead of oversubscribing.
+//! [`with_threads`] wins, then [`hardware_threads`]. The count sets how
+//! many parts a section is cut into, even beyond the core count; the
+//! pool only decides who drains them. Participants run their share with
+//! an override of 1, so nested parallel calls inside a parallel section
+//! execute sequentially instead of oversubscribing.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::hint;
+use std::marker::PhantomData;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 /// Cached `available_parallelism()` result; 0 means "not probed yet".
 static DETECTED_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -43,12 +52,14 @@ static DETECTED_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Hardware parallelism, probed once per process. `available_parallelism`
 /// is not a cheap getter on Linux — it re-parses the cgroup quota files
 /// and allocates on every call — and the answer cannot change under us.
-fn detected_threads() -> usize {
+/// The pool is sized from this number, and callers that clamp a worker
+/// request to the machine should clamp to it too.
+pub fn hardware_threads() -> usize {
     let cached = DETECTED_THREADS.load(Ordering::Relaxed);
     if cached != 0 {
         return cached;
     }
-    let probed = std::thread::available_parallelism()
+    let probed = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     DETECTED_THREADS.store(probed, Ordering::Relaxed);
@@ -68,7 +79,7 @@ fn current_threads() -> usize {
     if scoped != 0 {
         return scoped;
     }
-    detected_threads()
+    hardware_threads()
 }
 
 /// Runs `f` with the thread count pinned to `threads` on this thread
@@ -83,7 +94,7 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     }
     let _restore = Restore(SCOPED_THREADS.get());
     SCOPED_THREADS.set(if threads == 0 {
-        detected_threads()
+        hardware_threads()
     } else {
         threads
     });
@@ -114,13 +125,311 @@ pub fn with_determinism<T>(strict: bool, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Pins a worker closure to sequential execution so parallel calls nested
-/// inside a parallel section don't oversubscribe. Workers start with the
-/// default (strict) determinism policy, so [`reduce_sum`] checks the
-/// policy before fan-out instead of inside workers.
-fn serialized<T>(f: impl FnOnce() -> T) -> T {
-    SCOPED_THREADS.set(1);
-    f()
+/// Runs one participant's share of a section the same way on the caller
+/// and on a helper: nested parallel calls run sequentially, and under the
+/// default (strict) determinism policy whatever thread runs the part, so
+/// [`reduce_sum`] checks the policy before fan-out instead of inside
+/// parts. The caller's settings are restored afterwards.
+fn as_participant(f: impl FnOnce()) {
+    with_threads(1, || with_determinism(true, f))
+}
+
+/// Busy-wait rounds before a waiting thread parks: a helper waiting for
+/// the next section, or a caller waiting for its helpers to leave. On a
+/// 2-core VM host a parked thread took 10 µs to over 1 ms to wake, longer
+/// than most sections run; 2¹⁵ rounds (about 0.5 ms there) bridge the
+/// gaps between the back-to-back sections of a fit, and an empty section
+/// then costs under 1 µs (2¹² rounds made a paper-default fit 14%
+/// slower). It is a constant rather than a setting because the second
+/// core is shared: a longer spin only takes it from whoever else needs it.
+const SPIN_LIMIT: u32 = 1 << 15;
+
+/// Spins until `done()` holds, for at most [`SPIN_LIMIT`] rounds, and
+/// returns whether it does. Every 256th round yields the CPU instead: the
+/// OS sometimes wakes a helper onto the caller's own core, and a pure
+/// spin there held the other thread off for the whole spin (a two-part
+/// section took ~1 ms instead of 0.3 ms on the 2-core host).
+fn spin_until(done: impl Fn() -> bool) -> bool {
+    for round in 1..=SPIN_LIMIT {
+        if done() {
+            return true;
+        }
+        if round % 256 == 0 {
+            thread::yield_now();
+        } else {
+            hint::spin_loop();
+        }
+    }
+    done()
+}
+
+/// One parallel section: `nparts` calls of `part`; the caller runs part 0
+/// and every participant claims the rest one index at a time through
+/// `next`. It lives on the posting caller's stack.
+struct Section<'a> {
+    part: &'a (dyn Fn(usize) + Sync),
+    nparts: usize,
+    next: AtomicUsize,
+    /// Helpers that joined and have not left yet. A helper joins under the
+    /// pool lock while the section is posted, and the caller returns only
+    /// after retracting it under that lock and seeing this reach 0.
+    joined: AtomicUsize,
+    /// The posting thread, unparked by the last helper to leave.
+    caller: Thread,
+    /// The first panic payload of any participant, re-raised by the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Section<'_> {
+    /// Runs part 0 if this participant is the caller, then claims and runs
+    /// parts until none is left. A panicking part stops this participant
+    /// only: the payload is kept for the caller and the other participants
+    /// drain the rest.
+    fn drain(&self, caller: bool) {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            as_participant(|| {
+                if caller {
+                    (self.part)(0);
+                }
+                loop {
+                    let i = self.next.fetch_add(1, Ordering::Relaxed);
+                    if i >= self.nparts {
+                        break;
+                    }
+                    (self.part)(i);
+                }
+            })
+        }));
+        if let Err(payload) = outcome {
+            self.panic
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
+    }
+}
+
+/// A posted section's address, its lifetime erased so the pool can hold it.
+struct Posted(NonNull<Section<'static>>);
+
+// SAFETY: the pointer is only dereferenced by helpers that joined the
+// section under the pool lock while it was posted, and its caller keeps it
+// alive until every such helper has left (see `Section::joined`). The
+// section's fields are all `Sync` — `part` is `dyn Fn + Sync`, the rest
+// are atomics, a `Thread` and a `Mutex` — so sharing it is sound.
+unsafe impl Send for Posted {}
+
+/// The process-wide helper pool.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Parked helpers wait here for a section.
+    wake: Condvar,
+    /// Helper seats left in the posted section. Written only under
+    /// `state`'s lock; spinning helpers read it without the lock as a hint.
+    seats: AtomicUsize,
+}
+
+struct PoolState {
+    posted: Option<Posted>,
+    /// Helper threads ever spawned; they never exit.
+    spawned: usize,
+    /// Helpers waiting on `Pool::wake`.
+    parked: usize,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        posted: None,
+        spawned: 0,
+        parked: 0,
+    }),
+    wake: Condvar::new(),
+    seats: AtomicUsize::new(0),
+};
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // No code that can panic runs under this lock between two updates
+        // of the state, so a poisoned guard still holds a valid state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Posts `section` for up to `seats` helpers, first spawning helpers up
+    /// to `hardware_threads() - 1` if fewer exist. Returns `false`, having
+    /// posted nothing, when another caller's section holds the pool or no
+    /// helper exists; the caller then drains the section alone.
+    fn post(&self, section: &Section<'_>, seats: usize) -> bool {
+        let mut state = self.lock();
+        if state.posted.is_some() {
+            return false;
+        }
+        while state.spawned < seats.min(hardware_threads() - 1) {
+            // Helpers are detached on purpose: they serve until the process
+            // exits, and `Section::drain` catches every panic of a part.
+            let started = Arc::new(Barrier::new(2));
+            let helper_started = Arc::clone(&started);
+            let spawned = thread::Builder::new()
+                .name("sidefp-pool".into())
+                .spawn(move || {
+                    helper_started.wait();
+                    POOL.serve()
+                });
+            if spawned.is_err() {
+                break;
+            }
+            // The helper's start-up (and its heap blocks) is over before
+            // the first section it serves, however late the OS runs it.
+            started.wait();
+            state.spawned += 1;
+        }
+        let seats = seats.min(state.spawned);
+        if seats == 0 {
+            return false;
+        }
+        state.posted = Some(Posted(NonNull::from(section).cast()));
+        self.seats.store(seats, Ordering::Relaxed);
+        for _ in 0..seats.min(state.parked) {
+            self.wake.notify_one();
+        }
+        true
+    }
+
+    /// Withdraws the section this caller posted: no helper joins it after
+    /// this returns.
+    fn retract(&self) {
+        let mut state = self.lock();
+        state.posted = None;
+        self.seats.store(0, Ordering::Relaxed);
+    }
+
+    /// Waits for a posted section with a free seat and joins it. Spins
+    /// for [`SPIN_LIMIT`] rounds, then parks until a section is posted; a
+    /// helper that wakes too late for that section spins again, because
+    /// the next one is likely close behind.
+    fn join(&self) -> NonNull<Section<'static>> {
+        loop {
+            spin_until(|| self.seats.load(Ordering::Relaxed) > 0);
+            let mut state = self.lock();
+            if self.seats.load(Ordering::Relaxed) == 0 {
+                state.parked += 1;
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.parked -= 1;
+            }
+            let seats = self.seats.load(Ordering::Relaxed);
+            if let Some(posted) = state.posted.as_ref().filter(|_| seats > 0) {
+                self.seats.store(seats - 1, Ordering::Relaxed);
+                // SAFETY: the section is posted and the lock is held, so
+                // its caller has not retracted it and is still waiting.
+                unsafe { posted.0.as_ref() }
+                    .joined
+                    .fetch_add(1, Ordering::Relaxed);
+                return posted.0;
+            }
+        }
+    }
+
+    /// A helper's life: join a section, drain it, leave, repeat.
+    fn serve(&self) {
+        loop {
+            let posted = self.join();
+            // SAFETY: `join` counted this helper in `joined` while the
+            // section was posted, and its caller neither returns nor
+            // releases what `part` borrows until `joined` is back to 0,
+            // which happens only at the `fetch_sub` below.
+            let section = unsafe { posted.as_ref() };
+            section.drain(false);
+            let caller = section.caller.clone();
+            // Release pairs with the caller's Acquire load of `joined`, so
+            // everything this helper wrote is visible once it reads 0.
+            // `section` is not touched after this: the caller may return.
+            if section.joined.fetch_sub(1, Ordering::Release) == 1 {
+                caller.unpark();
+            }
+        }
+    }
+}
+
+/// Runs `part(i)` for every `i` in `0..nparts`, each exactly once, on the
+/// calling thread and whichever pool helpers join. With one thread, or one
+/// part, it is the plain sequential loop: no atomics, locks or wake-ups.
+/// A panic in any part reaches the caller after every participant has
+/// left; the pool stays usable.
+fn run_parts(nparts: usize, part: &(dyn Fn(usize) + Sync)) {
+    let threads = current_threads();
+    if threads <= 1 || nparts <= 1 {
+        for i in 0..nparts {
+            part(i);
+        }
+        return;
+    }
+    let section = Section {
+        part,
+        nparts,
+        // Part 0, the first and longest block, is always the caller's: which
+        // thread computes it never varies, so a helper's thread-local
+        // buffers (the GEMM panel workspace) are sized by the later parts
+        // alone and stop growing once warm.
+        next: AtomicUsize::new(1),
+        joined: AtomicUsize::new(0),
+        caller: thread::current(),
+        panic: Mutex::new(None),
+    };
+    let posted = POOL.post(&section, threads.min(nparts) - 1);
+    section.drain(true);
+    if posted {
+        POOL.retract();
+        let left = || section.joined.load(Ordering::Acquire) == 0;
+        if !spin_until(left) {
+            while !left() {
+                thread::park();
+            }
+        }
+    }
+    let panic = section.panic.into_inner();
+    if let Some(payload) = panic.unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// A mutable slice whose disjoint sub-slices the participants of one
+/// section take by part index.
+struct SharedSlice<'a, T> {
+    ptr: NonNull<T>,
+    len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a `SharedSlice` only hands out `&mut` sub-slices, which move
+// access to `T` values to other threads, and `T: Send` allows that.
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
+
+impl<'a, T> SharedSlice<'a, T> {
+    fn new(data: &'a mut [T]) -> Self {
+        SharedSlice {
+            len: data.len(),
+            ptr: NonNull::from(data).cast(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The sub-slice `range`.
+    ///
+    /// # Safety
+    ///
+    /// No two calls whose results are alive at the same time may have
+    /// overlapping ranges.
+    unsafe fn get(&self, range: Range<usize>) -> &'a mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "part outside the shared slice"
+        );
+        // SAFETY: the range lies inside the borrowed slice (checked above),
+        // and the caller guarantees no other live sub-slice overlaps it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr().add(range.start), range.len()) }
+    }
 }
 
 /// Fixed chunk width of strict-mode partial sums: small enough to expose
@@ -143,16 +452,18 @@ where
         return 0.0;
     }
     let chunks = if deterministic() {
-        split_even(len, len.div_ceil(STRICT_SUM_CHUNK))
+        len.div_ceil(STRICT_SUM_CHUNK)
     } else {
-        split_even(len, current_threads())
+        current_threads().min(len)
     };
-    if chunks.len() == 1 {
+    if chunks == 1 {
         return (0..len).map(term).sum();
     }
-    map_indexed(chunks.len(), |c| chunks[c].clone().map(&term).sum::<f64>())
-        .into_iter()
-        .sum()
+    map_indexed(chunks, |c| {
+        even_block(len, chunks, c).map(&term).sum::<f64>()
+    })
+    .into_iter()
+    .sum()
 }
 
 /// Sequential strict-chunked sum: the allocation-free counterpart of
@@ -165,50 +476,32 @@ pub fn reduce_sum_seq<F>(len: usize, term: F) -> f64
 where
     F: Fn(usize) -> f64,
 {
-    if len == 0 {
-        return 0.0;
-    }
-    // Same chunk layout as `split_even(len, len.div_ceil(STRICT_SUM_CHUNK))`.
-    let parts = len.div_ceil(STRICT_SUM_CHUNK).clamp(1, len);
-    let base = len / parts;
-    let extra = len % parts;
+    let chunks = len.div_ceil(STRICT_SUM_CHUNK);
     let mut total = 0.0;
-    let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
+    for c in 0..chunks {
         let mut chunk = 0.0;
-        for i in start..start + size {
+        for i in even_block(len, chunks, c) {
             chunk += term(i);
         }
         total += chunk;
-        start += size;
     }
     total
 }
 
-/// Splits `0..len` into at most `parts` contiguous, near-equal,
-/// non-empty ranges covering `0..len` in order.
-fn split_even(len: usize, parts: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
+/// Block `part` of `0..len` cut into `parts` contiguous, near-equal
+/// ranges (`1 <= parts <= len`); the first `len % parts` blocks are one
+/// longer.
+fn even_block(len: usize, parts: usize, part: usize) -> Range<usize> {
+    let (base, extra) = (len / parts, len % parts);
+    let start = part * base + part.min(extra);
+    start..start + base + usize::from(part < extra)
 }
 
 /// Applies `f` to every index in `0..len`, returning results in index
-/// order. Work is split into one contiguous block per worker; with one
-/// worker (or `len <= 1`) it degenerates to a plain sequential loop with
-/// no thread or allocation overhead beyond the output vector.
+/// order. Work is split into one contiguous block per worker, and each
+/// block writes its results straight into its own span of the output;
+/// with one worker (or `len <= 1`) it degenerates to a plain sequential
+/// loop with no overhead beyond the output vector.
 pub fn map_indexed<T, F>(len: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -218,20 +511,21 @@ where
     if threads <= 1 || len <= 1 {
         return (0..len).map(f).collect();
     }
-    let blocks = split_even(len, threads);
+    let blocks = threads.min(len);
     let mut out = Vec::with_capacity(len);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .into_iter()
-            .map(|block| {
-                let f = &f;
-                scope.spawn(move || serialized(|| block.map(f).collect::<Vec<T>>()))
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("parallel map worker panicked"));
+    let slots = SharedSlice::new(&mut out.spare_capacity_mut()[..len]);
+    run_parts(blocks, &|b| {
+        let block = even_block(len, blocks, b);
+        // SAFETY: blocks are disjoint and each is run exactly once.
+        let dst = unsafe { slots.get(block.clone()) };
+        for (slot, i) in dst.iter_mut().zip(block) {
+            slot.write(f(i));
         }
     });
+    // SAFETY: `run_parts` returned, so every block ran to completion and
+    // initialized its span; the blocks cover `0..len`. (On a panic the
+    // written results leak instead.)
+    unsafe { out.set_len(len) };
     out
 }
 
@@ -239,20 +533,19 @@ where
 /// `data`, excluding 0 and `data.len()`) and applies `f(part_index,
 /// part_slice)` to each part concurrently.
 ///
-/// The parts form a precomputed tile queue that `min(threads, parts)`
-/// workers drain via an atomic claim counter. A worker that finishes a
-/// cheap tile immediately claims the next one, so imbalanced tile costs
-/// (triangle-shaped Gram fills, edge panels of a blocked GEMM) do not
-/// leave workers idle; with one part per worker the queue is a plain
-/// fixed split.
+/// The parts form a tile queue that the participants drain via an atomic
+/// claim counter. A participant that finishes a cheap tile immediately
+/// claims the next one, so imbalanced tile costs (triangle-shaped Gram
+/// fills, edge panels of a blocked GEMM) do not leave workers idle; with
+/// one part per worker the queue is a plain fixed split.
 ///
-/// Determinism: which worker computes a part varies run to run, but each
+/// Determinism: which thread computes a part varies run to run, but each
 /// part is computed exactly once and written only to its own pre-split
 /// slice (its "owner slot"). As long as `f`'s output for a part depends
 /// only on the part index and slice — never on claim order or timing —
 /// the buffer contents are bit-identical at any thread count, including
 /// one: with a single worker the queue degenerates to the plain
-/// sequential loop with no atomics, locks, spawns or allocations.
+/// sequential loop.
 ///
 /// # Panics
 ///
@@ -262,68 +555,28 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = current_threads();
-    if threads <= 1 || cuts.is_empty() {
-        for (i, part) in split_at_cuts(data, cuts).enumerate() {
-            f(i, part);
-        }
-        return;
+    let len = data.len();
+    let mut prev = 0;
+    for &cut in cuts {
+        assert!(cut > prev && cut < len, "cuts must ascend inside data");
+        prev = cut;
     }
-    let nparts = cuts.len() + 1;
-    // The Mutex only guards the Option take — one uncontended lock per
-    // tile, negligible against any real tile computation.
-    let slots = Mutex::new(split_at_cuts(data, cuts).map(Some).collect::<Vec<_>>());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(nparts) {
-            let (slots, next, f) = (&slots, &next, &f);
-            scope.spawn(move || {
-                serialized(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nparts {
-                        break;
-                    }
-                    let part = slots
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)[i]
-                        .take();
-                    if let Some(part) = part {
-                        f(i, part);
-                    }
-                })
-            });
-        }
+    let parts = SharedSlice::new(data);
+    run_parts(cuts.len() + 1, &|i| {
+        let start = if i == 0 { 0 } else { cuts[i - 1] };
+        let end = cuts.get(i).copied().unwrap_or(len);
+        // SAFETY: the cuts ascend strictly inside `data` (checked above),
+        // so the parts are disjoint, and each is run exactly once.
+        f(i, unsafe { parts.get(start..end) });
     });
 }
 
-/// The `cuts.len() + 1` parts of `data` split at the ascending `cuts`.
-fn split_at_cuts<'a, T>(
-    data: &'a mut [T],
-    cuts: &'a [usize],
-) -> impl Iterator<Item = &'a mut [T]> + 'a {
-    let mut rest = Some(data);
-    let mut prev = 0;
-    let mut cuts = cuts.iter();
-    std::iter::from_fn(move || {
-        let tail = rest.take()?;
-        let Some(&cut) = cuts.next() else {
-            return Some(tail);
-        };
-        assert!(
-            cut > prev && cut < prev + tail.len(),
-            "cuts must ascend inside data"
-        );
-        let (part, tail) = tail.split_at_mut(cut - prev);
-        prev = cut;
-        rest = Some(tail);
-        Some(part)
-    })
-}
-
 /// Applies `f(row_index, row)` to every `ncols`-wide row of a row-major
-/// buffer, fanning contiguous row blocks out across the worker pool — the
-/// feature-map fan-out used by the kernel approximation layer's
-/// element-wise passes (e.g. the random-Fourier cosine map).
+/// buffer, fanning contiguous row blocks, one per worker, out across the
+/// pool — the fan-out of the RBF map in
+/// `GramMatrix::from_squared_distances` and of the KDE sampler
+/// (`AdaptiveKde::sample_matrix_streamed`), which writes each sampled row
+/// in place.
 ///
 /// Each row is visited exactly once and rows are disjoint, so as long as
 /// `f`'s output for a row depends only on that row and its index, the
@@ -346,33 +599,16 @@ where
         "for_each_row_mut: buffer is not a whole number of rows"
     );
     let nrows = data.len() / ncols;
-    let blocks = split_even(nrows, current_threads());
-    let cuts: Vec<usize> = blocks.iter().skip(1).map(|r| r.start * ncols).collect();
-    for_each_split_mut(data, &cuts, |part, slice| {
-        let first_row = blocks[part].start;
+    let blocks = current_threads().min(nrows);
+    let rows = SharedSlice::new(data);
+    run_parts(blocks, &|b| {
+        let block = even_block(nrows, blocks, b);
+        // SAFETY: row blocks are disjoint and each is run exactly once.
+        let slice = unsafe { rows.get(block.start * ncols..block.end * ncols) };
         for (local, row) in slice.chunks_exact_mut(ncols).enumerate() {
-            f(first_row + local, row);
+            f(block.start + local, row);
         }
     });
-}
-
-/// Runs two closures, concurrently when more than one worker is
-/// available, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || serialized(b));
-        let ra = serialized(a);
-        (ra, hb.join().expect("join worker panicked"))
-    })
 }
 
 /// Derives the seed for stream number `stream` from `master`.
@@ -396,23 +632,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_even_covers_everything_in_order() {
-        for len in [0usize, 1, 2, 7, 16, 100] {
+    fn even_block_covers_everything_in_order() {
+        for len in [1usize, 2, 7, 16, 100] {
             for parts in [1usize, 2, 3, 8, 200] {
-                let ranges = split_even(len, parts);
+                let parts = parts.min(len);
                 let mut expect = 0;
-                for r in &ranges {
+                let mut sizes = Vec::new();
+                for p in 0..parts {
+                    let r = even_block(len, parts, p);
                     assert_eq!(r.start, expect);
                     assert!(!r.is_empty());
+                    sizes.push(r.len());
                     expect = r.end;
                 }
                 assert_eq!(expect, len);
-                if len > 0 {
-                    assert!(ranges.len() <= parts.min(len));
-                    let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                    let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(hi - lo <= 1, "unbalanced split {sizes:?}");
-                }
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "unbalanced split {sizes:?}");
             }
         }
     }
@@ -586,12 +821,113 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        for threads in [1, 2] {
-            let (a, b) = with_threads(threads, || join(|| 2 + 2, || "ok"));
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
-        }
+    fn nested_sections_run_sequentially_and_restore_the_callers_settings() {
+        with_threads(3, || {
+            with_determinism(false, || {
+                let nested = map_indexed(6, |_| (current_threads(), deterministic()));
+                assert_eq!(nested, vec![(1, true); 6]);
+                let mut seen = vec![(0, false); 4];
+                for_each_split_mut(&mut seen, &[1, 2, 3], |_, slot| {
+                    slot[0] = (current_threads(), deterministic());
+                });
+                assert_eq!(seen, vec![(1, true); 4]);
+                assert!(!deterministic());
+            });
+            assert_eq!(current_threads(), 3);
+        });
+    }
+
+    /// `rounds` rounds of one `map_indexed` and one `for_each_split_mut`
+    /// section at 2 workers, each checked against its sequential result.
+    fn hammer(rounds: usize) {
+        let cuts = [5usize, 11, 40, 41, 90];
+        let fill = |p: usize, s: &mut [usize]| s.fill(p * 3 + 1);
+        let square = |i: usize| i as u64 * i as u64 + 7;
+        let mut expect_split = vec![0usize; 120];
+        with_threads(1, || for_each_split_mut(&mut expect_split, &cuts, fill));
+        let expect_map: Vec<u64> = (0..97).map(square).collect();
+        with_threads(2, || {
+            for _ in 0..rounds {
+                assert_eq!(map_indexed(97, square), expect_map);
+                let mut data = vec![0usize; 120];
+                for_each_split_mut(&mut data, &cuts, fill);
+                assert_eq!(data, expect_split);
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_sequential_result() {
+        // The first section holds a part open until the other caller has
+        // run sections of its own, so that caller meets a busy pool; then
+        // both callers run sections side by side.
+        let started = Arc::new(Barrier::new(2));
+        let other_done = Arc::new(Barrier::new(2));
+        let other = {
+            let (started, other_done) = (Arc::clone(&started), Arc::clone(&other_done));
+            thread::spawn(move || {
+                started.wait();
+                hammer(50);
+                other_done.wait();
+                hammer(500);
+            })
+        };
+        let got = with_threads(2, || {
+            map_indexed(4, |i| {
+                if i == 0 {
+                    started.wait();
+                    other_done.wait();
+                }
+                i
+            })
+        });
+        assert_eq!(got, vec![0, 1, 2, 3]);
+        hammer(500);
+        other.join().expect("second caller panicked");
+    }
+
+    #[test]
+    fn a_panicking_part_reaches_the_caller_and_the_pool_stays_usable() {
+        with_threads(2, || {
+            for bad in [0usize, 5, 7] {
+                let caught = panic::catch_unwind(|| {
+                    map_indexed(8, |i| {
+                        if i == bad {
+                            panic!("part {bad} fails");
+                        }
+                        i
+                    })
+                });
+                let payload = caught.expect_err("the part's panic must reach the caller");
+                let message = payload.downcast_ref::<String>().expect("formatted message");
+                assert_eq!(message, &format!("part {bad} fails"));
+                assert_eq!(
+                    map_indexed(8, |i| i * 2),
+                    (0..8).map(|i| i * 2).collect::<Vec<_>>()
+                );
+            }
+            let caught = panic::catch_unwind(|| {
+                let mut data = vec![0u8; 8];
+                for_each_split_mut(&mut data, &[2, 4, 6], |p, _| assert_ne!(p, 3));
+            });
+            assert!(caught.is_err());
+        });
+    }
+
+    /// Number of helper threads the pool has spawned so far.
+    fn spawned_helpers() -> usize {
+        POOL.lock().spawned
+    }
+
+    #[test]
+    fn the_pool_never_spawns_more_than_the_hardware_helpers() {
+        with_threads(8, || {
+            for n in 0..1_000 {
+                let got = map_indexed(16, |i| i + n);
+                assert_eq!(got[15], 15 + n);
+            }
+        });
+        assert!(spawned_helpers() < hardware_threads());
     }
 
     #[test]

@@ -160,9 +160,11 @@ else
     # reproduce the single-shot silicon stage's S3, S4, KMM weights and
     # B3/B4 solves bit for bit.
     cargo test -q -p sidefp-core --test drift_stream calibration_lot_reproduces_the_single_shot_silicon_fit
-    # Steady-state allocation smoke: warm KDE density, OCSVM decision and
-    # per-device score_into loops must request zero heap blocks, and
-    # streamed KDE sampling the same blocks at 10^3 as at 10^5 rows.
+    # Steady-state allocation smoke: warm KDE density, OCSVM decision,
+    # per-device score_into and packed-GEMM loops (the last at the
+    # machine's worker count, through the worker pool) must request zero
+    # heap blocks, and streamed KDE sampling the same blocks at 10^3 as
+    # at 10^5 rows.
     cargo test -q -p sidefp-bench --test steady_state_allocs
     # Seed-sweep smoke: 4 cells x 4 seeds at reduced sizing, among them
     # the full channel stack with the dormant payload, so a channel,

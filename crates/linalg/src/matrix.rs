@@ -227,8 +227,7 @@ impl Matrix {
     /// Rows are processed four at a time so their independent accumulator
     /// chains pipeline; each output element is still one ascending-index
     /// single-accumulator fold over its own row, so results are
-    /// bit-identical to the row-at-a-time loop (which is what the
-    /// projected-gradient QP's trajectory reproducibility rests on).
+    /// bit-identical to the row-at-a-time loop.
     ///
     /// # Errors
     ///

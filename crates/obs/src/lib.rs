@@ -63,9 +63,11 @@ pub struct SolverHealth {
     pub smo_relaxed: usize,
     /// SMO runs that missed even the relaxed tolerance (best-effort used).
     pub smo_nonconverged: usize,
-    /// Projected-gradient QP runs accepted under the relaxed tolerance.
+    /// KMM box-band QP solves that ran out of steps with a KKT residual
+    /// within the relaxed (100×) tolerance.
     pub qp_relaxed: usize,
-    /// Projected-gradient QP runs that missed even the relaxed tolerance.
+    /// KMM box-band QP solves that ran out of steps with a KKT residual
+    /// above even the relaxed tolerance (the last feasible iterate used).
     pub qp_nonconverged: usize,
     /// KDE pilot densities floored to keep local bandwidths defined.
     pub kde_pilot_floors: usize,
@@ -405,7 +407,7 @@ impl RunContext {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a projected-gradient QP accepted under the relaxed tolerance.
+    /// Records a box-band QP accepted under the relaxed KKT tolerance.
     pub fn record_qp_relaxed(&self) {
         self.inner
             .counters
@@ -413,8 +415,7 @@ impl RunContext {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a projected-gradient QP that missed even the relaxed
-    /// tolerance.
+    /// Records a box-band QP that missed even the relaxed KKT tolerance.
     pub fn record_qp_nonconverged(&self) {
         self.inner
             .counters

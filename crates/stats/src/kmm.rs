@@ -1,11 +1,11 @@
 use sidefp_linalg::Matrix;
 use sidefp_obs::RunContext;
 
-use crate::qp::{solve_box_band_detailed, BoxBandConfig};
+use crate::qp::{solve_box_band, BoxBandConfig};
 use crate::{check_finite_matrix, descriptive, GramMatrix, Kernel, StatsError};
 
-/// Relaxation factor for accepting a best-effort QP iterate: a final step
-/// within 100× the configured tolerance still yields usable weights.
+/// Relaxation factor for accepting an uncertified QP iterate: a KKT
+/// residual within 100× the solver's tolerance still yields usable weights.
 const QP_RELAXED_FACTOR: f64 = 100.0;
 
 /// Configuration for [`KernelMeanMatching`].
@@ -19,7 +19,9 @@ pub struct KmmConfig {
     /// Mean-constraint half width `ε`; `None` selects the conventional
     /// `(√n_tr − 1)/√n_tr` from Gretton et al.
     pub band: Option<f64>,
-    /// Iteration budget for the projected-gradient QP.
+    /// Step budget for the active-set QP: a step is one Newton step on the
+    /// working set or one constraint release. Paper-sized solves certify
+    /// in about `n` steps.
     pub max_iter: usize,
 }
 
@@ -143,37 +145,10 @@ impl KernelMeanMatching {
             }
         };
 
-        let ratio = ntr as f64 / nte as f64;
-        let band = config
-            .band
-            .unwrap_or(((ntr as f64).sqrt() - 1.0) / (ntr as f64).sqrt());
-        let qp_cfg = BoxBandConfig {
-            upper: config.upper,
-            band,
-            max_iter: config.max_iter,
-            tol: 1e-7,
-        };
-
         // K_ij = k(x_i^tr, x_j^tr) — computed once by the shared parallel
         // engine and kept for re-weighting and post-fit diagnostics.
         let gram = GramMatrix::symmetric(kernel, train);
-        // κ_i = (n_tr / n_te) Σ_j k(x_i^tr, x_j^te)  (paper Eq. 4)
-        let cross = GramMatrix::cross(kernel, train, test)?;
-        let kappa: Vec<f64> =
-            sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
-        let sol = solve_box_band_detailed(gram.matrix(), &kappa, &qp_cfg)?;
-        if !sol.converged {
-            // Best-effort weights: record how rough the final step still was
-            // so RunHealth surfaces the fallback instead of hiding it.
-            if sol.final_delta <= QP_RELAXED_FACTOR * qp_cfg.tol {
-                obs.record_qp_relaxed();
-                obs.trace_rescue("qp", "relaxed", 1);
-            } else {
-                obs.record_qp_nonconverged();
-                obs.trace_rescue("qp", "nonconverged", 1);
-            }
-        }
-        let weights = sol.beta;
+        let weights = solve_weights(&gram, train, test, config, obs)?;
 
         Ok(KernelMeanMatching {
             weights,
@@ -206,7 +181,6 @@ impl KernelMeanMatching {
         config: &KmmConfig,
         obs: &RunContext,
     ) -> Result<(), StatsError> {
-        let ntr = self.train.nrows();
         let nte = test.nrows();
         if nte < 2 {
             return Err(StatsError::InsufficientData {
@@ -222,30 +196,7 @@ impl KernelMeanMatching {
         }
         check_finite_matrix("test", test)?;
 
-        let ratio = ntr as f64 / nte as f64;
-        let band = config
-            .band
-            .unwrap_or(((ntr as f64).sqrt() - 1.0) / (ntr as f64).sqrt());
-        let qp_cfg = BoxBandConfig {
-            upper: config.upper,
-            band,
-            max_iter: config.max_iter,
-            tol: 1e-7,
-        };
-        let cross = GramMatrix::cross(self.gram.kernel(), &self.train, test)?;
-        let kappa: Vec<f64> =
-            sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
-        let sol = solve_box_band_detailed(self.gram.matrix(), &kappa, &qp_cfg)?;
-        if !sol.converged {
-            if sol.final_delta <= QP_RELAXED_FACTOR * qp_cfg.tol {
-                obs.record_qp_relaxed();
-                obs.trace_rescue("qp", "relaxed", 1);
-            } else {
-                obs.record_qp_nonconverged();
-                obs.trace_rescue("qp", "nonconverged", 1);
-            }
-        }
-        self.weights = sol.beta;
+        self.weights = solve_weights(&self.gram, &self.train, test, config, obs)?;
         Ok(())
     }
 
@@ -379,6 +330,42 @@ impl KernelMeanMatching {
         }
         Ok(shifted)
     }
+}
+
+/// Solves the KMM QP (paper Eq. 4) of `train` against `test` on the cached
+/// train-side `gram`, recording an uncertified solve into `obs` (a counter
+/// bump plus a `rescue` trace event) so `RunHealth` surfaces it.
+fn solve_weights(
+    gram: &GramMatrix,
+    train: &Matrix,
+    test: &Matrix,
+    config: &KmmConfig,
+    obs: &RunContext,
+) -> Result<Vec<f64>, StatsError> {
+    let ntr = train.nrows();
+    let root = (ntr as f64).sqrt();
+    let qp_cfg = BoxBandConfig {
+        upper: config.upper,
+        band: config.band.unwrap_or((root - 1.0) / root),
+        max_iter: config.max_iter,
+        ..BoxBandConfig::default()
+    };
+    // κ_i = (n_tr / n_te) Σ_j k(x_i^tr, x_j^te)  (paper Eq. 4)
+    let ratio = ntr as f64 / test.nrows() as f64;
+    let cross = GramMatrix::cross(gram.kernel(), train, test)?;
+    let kappa: Vec<f64> =
+        sidefp_parallel::map_indexed(ntr, |i| ratio * cross.row(i).iter().sum::<f64>());
+    let sol = solve_box_band(gram.matrix(), &kappa, &qp_cfg)?;
+    if !sol.converged {
+        if sol.final_delta <= QP_RELAXED_FACTOR * qp_cfg.tol {
+            obs.record_qp_relaxed();
+            obs.trace_rescue("qp", "relaxed", 1);
+        } else {
+            obs.record_qp_nonconverged();
+            obs.trace_rescue("qp", "nonconverged", 1);
+        }
+    }
+    Ok(sol.beta)
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //!
 //! Two specialized solvers, matched to the two QPs the paper's flow needs:
 //!
-//! - [`solve_box_band`]: projected gradient descent for kernel mean matching
-//!   (Eq. 4 of the paper) — minimize `½βᵀKβ − κᵀβ` over the box
-//!   `0 ≤ β_i ≤ B` intersected with the mean band `|mean(β) − 1| ≤ ε`.
+//! - [`solve_box_band`]: an exact primal active-set solver for kernel mean
+//!   matching (Eq. 4 of the paper) — minimize `½βᵀ(K + λI)β − κᵀβ` over the
+//!   box `0 ≤ β_i ≤ B` intersected with the mean band `|mean(β) − 1| ≤ ε`,
+//!   with Cholesky factors of the free block updated row by row.
 //! - [`SmoSolver`]: sequential minimal optimization for the ν-one-class SVM
 //!   dual — minimize `½αᵀQα` over the simplex-box `Σα = 1`,
 //!   `0 ≤ α_i ≤ C`.
@@ -13,10 +14,8 @@
 //! which is the right trade-off at the problem sizes of this workspace
 //! (tens to a few thousand samples).
 
-mod projected_gradient;
+mod active_set;
 mod smo;
 
-pub use projected_gradient::{
-    solve_box_band, solve_box_band_detailed, solve_box_band_strict, BoxBandConfig, BoxBandSolution,
-};
+pub use active_set::{solve_box_band, BoxBandConfig, BoxBandSolution};
 pub use smo::{SmoConfig, SmoSolution, SmoSolver, WorkingSetQ};

@@ -318,7 +318,7 @@ proptest! {
     ) {
         let k = Kernel::Rbf { gamma }.gram_symmetric(&m);
         let kappa = vec![1.0; 12];
-        let sol = sidefp_stats::qp::solve_box_band_detailed(
+        let sol = sidefp_stats::qp::solve_box_band(
             &k,
             &kappa,
             &sidefp_stats::qp::BoxBandConfig {

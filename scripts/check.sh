@@ -24,6 +24,7 @@ hardened=(
     crates/stats/src/kmm.rs
     crates/stats/src/ocsvm.rs
     crates/stats/src/qp/smo.rs
+    crates/stats/src/qp/active_set.rs
     crates/stats/src/gram.rs
     crates/linalg/src/lu.rs
     crates/linalg/src/qr.rs
@@ -142,10 +143,11 @@ else
     # Fault-matrix smoke: the degradation pipeline must absorb every fault
     # class without panicking even in the quick gate.
     cargo test -q -p sidefp-core --test fault_matrix
-    # Box-band QP smoke: the fused column product must keep the solve
-    # bit-identical to the `matvec_into` reference (beta bits, iterations,
-    # convergence flag and final delta).
-    cargo test -q -p sidefp-stats --lib qp::projected_gradient
+    # Box-band QP smoke: the active-set KMM solve must end on a KKT
+    # certificate (feasible, every multiplier's sign within tolerance) on
+    # random RBF Grams and paper-shift problems, and its updated Cholesky
+    # factor must match a fresh factorization.
+    cargo test -q -p sidefp-stats --lib qp::active_set
     # MARS smoke: shared-prefix pruning must pick the same bases with the
     # same coefficient and GCV bits as a pruning that refits every trial.
     cargo test -q -p sidefp-stats --lib mars

@@ -87,10 +87,10 @@ fn full_experiment_identical_across_thread_counts() {
 }
 
 /// The paper-default run's KMM weights and QP health, pinned to the bits
-/// the projected-gradient solve produces with the dense `matvec_into`
-/// product; the fused column product reproduces them. Any later change to
-/// the KMM trajectory must update them on purpose. The bit-sum is the
-/// wrapping sum of every weight's `to_bits`.
+/// the active-set solve certifies: every KMM solve of the run ends on a
+/// KKT certificate, so no QP rescue is recorded. Any later change to the
+/// KMM solve must update them on purpose. The bit-sum is the wrapping sum
+/// of every weight's `to_bits`.
 #[test]
 fn paper_default_kmm_weights_are_pinned() {
     let arts = PaperExperiment::new(ExperimentConfig::default())
@@ -104,10 +104,11 @@ fn paper_default_kmm_weights_are_pinned() {
         .map(|w| w.to_bits())
         .collect();
     assert_eq!(bits.len(), 100);
-    assert_eq!(bits[0], 0x3fe9_73ac_5b2a_6071);
-    assert_eq!(bits[50], 0x3fd2_13a1_3290_b106);
-    assert_eq!(bits[99], 0x3ff3_2a24_006c_9230);
+    assert_eq!(bits[0], 0x3fff_95e3_f4f9_64aa);
+    assert_eq!(bits[50], 0x3fda_0265_3fd7_5921);
+    assert_eq!(bits[99], 0x3ff0_ae55_299c_6d98);
     let sum = bits.iter().fold(0u64, |acc, b| acc.wrapping_add(*b));
-    assert_eq!(sum, 0x7995_c033_b954_acc5);
-    assert_eq!(arts.result.health.solvers.qp_nonconverged, 4);
+    assert_eq!(sum, 0xfc00_1869_de44_8b53);
+    assert_eq!(arts.result.health.solvers.qp_nonconverged, 0);
+    assert_eq!(arts.result.health.solvers.qp_relaxed, 0);
 }

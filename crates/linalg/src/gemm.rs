@@ -99,8 +99,11 @@ pub enum Epilogue<'a> {
 
 impl Epilogue<'_> {
     /// Applies the map in place to one output-row segment starting at
-    /// column `j0` of global row `i`.
-    fn apply_row(&self, i: usize, j0: usize, seg: &mut [f64]) {
+    /// column `j0` of global row `i`; `seg` holds the raw dot products.
+    ///
+    /// Public so a caller forming a single row's dot products with the
+    /// micro-kernel's ascending fold gets the GEMM's entries bit for bit.
+    pub fn apply_row(&self, i: usize, j0: usize, seg: &mut [f64]) {
         match *self {
             Epilogue::None => {}
             Epilogue::SquaredDistance { a_norms, b_norms } => {

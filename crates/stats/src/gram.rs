@@ -27,6 +27,7 @@
 use sidefp_linalg::gemm::{self, Epilogue};
 use sidefp_linalg::{vecops, Matrix};
 
+use crate::qp::WorkingSetQ;
 use crate::{Kernel, StatsError};
 
 /// A precomputed symmetric kernel matrix `K[i][j] = k(x_i, x_j)` over the
@@ -64,25 +65,8 @@ impl GramMatrix {
             };
         }
         let mut values = Matrix::zeros(n, n);
-        match kernel {
-            Kernel::Rbf { gamma } => {
-                let norms = row_norms(data);
-                gemm::syrk_fused(
-                    data,
-                    &Epilogue::Rbf {
-                        gamma,
-                        a_norms: &norms,
-                        b_norms: &norms,
-                    },
-                    &mut values,
-                );
-            }
-            // The linear Gram *is* the product matrix.
-            Kernel::Linear => gemm::syrk_fused(data, &Epilogue::None, &mut values),
-            Kernel::Polynomial { degree, coef0 } => {
-                gemm::syrk_fused(data, &Epilogue::Polynomial { degree, coef0 }, &mut values);
-            }
-        }
+        let norms = kernel_norms(kernel, data);
+        gemm::syrk_fused(data, &epilogue(kernel, &norms, &norms), &mut values);
         mirror_lower_triangle(&mut values);
         GramMatrix { kernel, values }
     }
@@ -143,26 +127,8 @@ impl GramMatrix {
             return Ok(Matrix::zeros(na, nb));
         }
         let mut values = Matrix::zeros(na, nb);
-        match kernel {
-            Kernel::Rbf { gamma } => {
-                let a_norms = row_norms(a);
-                let b_norms = row_norms(b);
-                gemm::gemm_nt_fused(
-                    a,
-                    b,
-                    &Epilogue::Rbf {
-                        gamma,
-                        a_norms: &a_norms,
-                        b_norms: &b_norms,
-                    },
-                    &mut values,
-                );
-            }
-            Kernel::Linear => gemm::gemm_nt_fused(a, b, &Epilogue::None, &mut values),
-            Kernel::Polynomial { degree, coef0 } => {
-                gemm::gemm_nt_fused(a, b, &Epilogue::Polynomial { degree, coef0 }, &mut values);
-            }
-        }
+        let (a_norms, b_norms) = (kernel_norms(kernel, a), kernel_norms(kernel, b));
+        gemm::gemm_nt_fused(a, b, &epilogue(kernel, &a_norms, &b_norms), &mut values);
         Ok(values)
     }
 
@@ -248,6 +214,141 @@ pub fn pairwise_squared_distances(data: &Matrix) -> Matrix {
 /// [`gemm::self_dot_fold`]).
 fn row_norms(data: &Matrix) -> Vec<f64> {
     sidefp_parallel::map_indexed(data.nrows(), |i| gemm::self_dot_fold(data.row(i)))
+}
+
+/// The row norms `kernel`'s epilogue reads: the RBF map needs them, the
+/// linear and polynomial maps read none.
+fn kernel_norms(kernel: Kernel, data: &Matrix) -> Vec<f64> {
+    match kernel {
+        Kernel::Rbf { .. } => row_norms(data),
+        Kernel::Linear | Kernel::Polynomial { .. } => Vec::new(),
+    }
+}
+
+/// The fused GEMM epilogue that turns dot products into `kernel` values.
+fn epilogue<'a>(kernel: Kernel, a_norms: &'a [f64], b_norms: &'a [f64]) -> Epilogue<'a> {
+    match kernel {
+        Kernel::Rbf { gamma } => Epilogue::Rbf {
+            gamma,
+            a_norms,
+            b_norms,
+        },
+        // The linear Gram *is* the product matrix.
+        Kernel::Linear => Epilogue::None,
+        Kernel::Polynomial { degree, coef0 } => Epilogue::Polynomial { degree, coef0 },
+    }
+}
+
+/// Rows of the symmetric kernel matrix of one dataset, each computed the
+/// first time it is asked for and kept from then on.
+///
+/// This is the SMO solver's row source (see [`WorkingSetQ`]): a ν-OCSVM
+/// solve from a sparse start touches only the rows of its support vectors
+/// and of the coordinates it ever selects — about 170 of 1,500 on the
+/// paper's B2/B5 fits — so the full `n × n` Gram is never formed. Every
+/// entry equals the matching [`GramMatrix::symmetric`] entry bit for bit:
+/// a row requested alone forms its dot products with the micro-kernel's
+/// ascending fold and runs the same epilogue, and a larger block goes
+/// through [`GramMatrix::cross`].
+///
+/// # Example
+///
+/// ```
+/// use sidefp_linalg::Matrix;
+/// use sidefp_stats::qp::WorkingSetQ;
+/// use sidefp_stats::{GramMatrix, Kernel, KernelRows};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let data = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]])?;
+/// let kernel = Kernel::Rbf { gamma: 1.0 };
+/// let mut rows = KernelRows::new(kernel, &data);
+/// rows.load(&[1])?;
+/// assert_eq!(rows.held(), 1);
+/// assert_eq!(rows.row(1), GramMatrix::symmetric(kernel, &data).matrix().row(1));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct KernelRows<'a> {
+    kernel: Kernel,
+    data: &'a Matrix,
+    norms: Vec<f64>,
+    /// Row `i` of the kernel matrix, or empty while it is not computed.
+    rows: Vec<Vec<f64>>,
+}
+
+impl<'a> KernelRows<'a> {
+    /// An empty store over `data`'s rows; nothing is computed yet.
+    pub fn new(kernel: Kernel, data: &'a Matrix) -> Self {
+        KernelRows {
+            kernel,
+            data,
+            norms: kernel_norms(kernel, data),
+            rows: vec![Vec::new(); data.nrows()],
+        }
+    }
+
+    /// Number of rows computed so far.
+    pub fn held(&self) -> usize {
+        self.rows.iter().filter(|r| !r.is_empty()).count()
+    }
+
+    /// Computes row `i`: ascending-fold dot products, then the epilogue
+    /// the GEMM applies to the same raw products.
+    fn compute_row(&self, i: usize) -> Vec<f64> {
+        let xi = self.data.row(i);
+        let mut row: Vec<f64> = self
+            .data
+            .rows_iter()
+            .map(|xj| {
+                let mut p = 0.0;
+                for (a, b) in xi.iter().zip(xj) {
+                    p += a * b;
+                }
+                p
+            })
+            .collect();
+        epilogue(self.kernel, &self.norms, &self.norms).apply_row(i, 0, &mut row);
+        row
+    }
+}
+
+impl WorkingSetQ for KernelRows<'_> {
+    fn len(&self) -> usize {
+        self.data.nrows()
+    }
+
+    fn load(&mut self, idx: &[usize]) -> Result<(), StatsError> {
+        let mut missing: Vec<usize> = idx
+            .iter()
+            .copied()
+            .filter(|&i| self.rows[i].is_empty())
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        if missing.len() <= 2 {
+            // A working pair: two sequential rows cost less than packing
+            // the whole dataset for one GEMM.
+            for i in missing {
+                self.rows[i] = self.compute_row(i);
+            }
+            return Ok(());
+        }
+        // Blocks of at most BLOCK_ROWS rows bound the transient copy when a
+        // dense warm start asks for every row at once.
+        const BLOCK_ROWS: usize = 256;
+        for chunk in missing.chunks(BLOCK_ROWS) {
+            let block = GramMatrix::cross(self.kernel, &self.data.select_rows(chunk), self.data)?;
+            for (r, &i) in chunk.iter().enumerate() {
+                self.rows[i] = block.row(r).to_vec();
+            }
+        }
+        Ok(())
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i]
+    }
 }
 
 /// Copies the strict upper triangle onto the lower one; cheap copies, no
@@ -455,6 +556,51 @@ mod tests {
             .map(|(i, j)| w[i] * w[j] * gram.matrix()[(i, j)])
             .sum();
         assert!((gram.weighted_quadratic(&w) - brute).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kernel_rows_match_symmetric_gram_bit_for_bit() {
+        let data = sample(37, 5);
+        for kernel in [
+            Kernel::Rbf { gamma: 0.9 },
+            Kernel::Linear,
+            Kernel::Polynomial {
+                degree: 3,
+                coef0: 0.5,
+            },
+        ] {
+            let gram = GramMatrix::symmetric(kernel, &data);
+            let mut rows = KernelRows::new(kernel, &data);
+            // A single row, a pair, then a block (through the cross GEMM)
+            // that repeats rows already held.
+            rows.load(&[4]).unwrap();
+            rows.load(&[30, 0]).unwrap();
+            assert_eq!(rows.held(), 3);
+            rows.load(&(0..37).rev().collect::<Vec<_>>()).unwrap();
+            assert_eq!(rows.held(), 37);
+            assert_eq!(rows.len(), 37);
+            for i in 0..37 {
+                let want: Vec<u64> = gram.matrix().row(i).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = rows.row(i).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{kernel:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rows_are_identical_at_any_thread_count() {
+        let data = sample(300, 4);
+        let kernel = Kernel::Rbf { gamma: 0.6 };
+        let all: Vec<usize> = (0..300).collect();
+        let load = || {
+            let mut rows = KernelRows::new(kernel, &data);
+            rows.load(&all).unwrap();
+            all.iter()
+                .flat_map(|&i| rows.row(i).to_vec())
+                .collect::<Vec<f64>>()
+        };
+        let reference = with_threads(1, load);
+        assert_eq!(with_threads(2, load), reference);
     }
 
     #[test]

@@ -54,7 +54,6 @@ mod error;
 mod gram;
 pub mod kde;
 mod kernel;
-mod kernel_cache;
 mod kmm;
 pub mod knn;
 pub mod mars;
@@ -73,9 +72,8 @@ pub mod state;
 pub use error::StatsError;
 // Re-export the per-run observability handle the `*_observed` solver entry
 // points take, so downstream crates need no direct sidefp-obs dependency.
-pub use gram::{pairwise_squared_distances, GramMatrix};
+pub use gram::{pairwise_squared_distances, GramMatrix, KernelRows};
 pub use kernel::Kernel;
-pub use kernel_cache::KernelRowCache;
 pub use kmm::{KernelMeanMatching, KmmConfig};
 pub use metrics::{ConfusionCounts, DetectionLabel};
 pub use mvn::MultivariateNormal;

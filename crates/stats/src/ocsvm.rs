@@ -3,22 +3,11 @@ use sidefp_obs::RunContext;
 
 use crate::qp::{SmoConfig, SmoSolver};
 use crate::state::SvmState;
-use crate::{
-    check_finite_matrix, check_finite_slice, GramMatrix, Kernel, KernelRowCache, StatsError,
-};
+use crate::{check_finite_matrix, check_finite_slice, Kernel, KernelRows, StatsError};
 
 /// Relaxation factor for accepting a best-effort SMO solution: a KKT gap
 /// within 100× the configured tolerance is still a usable boundary.
 const SMO_RELAXED_FACTOR: f64 = 100.0;
-
-/// Above this many training rows the dense Gram matrix (8·n² bytes) is
-/// swapped for a [`KernelRowCache`]: at 4096 rows the dense matrix already
-/// costs 134 MB, and the cache bounds memory at `capacity · n` instead.
-const DENSE_GRAM_LIMIT: usize = 4096;
-
-/// Rows held by the kernel-row cache on the large-`n` path — sized to keep
-/// the SMO working set (a few hot support-vector rows) resident.
-const KERNEL_CACHE_ROWS: usize = 64;
 
 /// Configuration for the ν-one-class SVM.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,8 +103,8 @@ impl OneClassSvm {
 
     /// Fits the SVM warm-started from a previous fit's preserved dual
     /// iterate (see [`OneClassSvm::dual_alpha`]). The SMO solve starts from
-    /// `start` (repaired onto the feasible simplex) instead of the uniform
-    /// point, typically converging in a small fraction of a cold fit's
+    /// `start` (repaired onto the feasible simplex) instead of the sparse
+    /// one-class start, typically converging in a small fraction of a cold fit's
     /// updates when `data` has only drifted from the population `start` was
     /// fitted on. The fitted model is defined by the KKT conditions of the
     /// *new* data, so a converged warm fit matches a cold fit up to solver
@@ -173,21 +162,12 @@ impl OneClassSvm {
             tol: config.tol,
             max_iter: config.max_iter,
         };
-        // Dense Gram matrix up to DENSE_GRAM_LIMIT rows, memory-bounded
-        // kernel-row cache beyond.
+        // Kernel rows are computed the first time the solve reads them.
         let smo = SmoSolver::new(smo_cfg);
-        let sol = if n <= DENSE_GRAM_LIMIT {
-            let q = GramMatrix::symmetric(config.kernel, data);
-            match warm {
-                Some(start) => smo.solve_with_start(&mut { q.matrix() }, start)?,
-                None => smo.solve(q.matrix())?,
-            }
-        } else {
-            let mut cache = KernelRowCache::new(config.kernel, data, KERNEL_CACHE_ROWS);
-            match warm {
-                Some(start) => smo.solve_with_start(&mut cache, start)?,
-                None => smo.solve_with(&mut cache)?,
-            }
+        let mut rows = KernelRows::new(config.kernel, data);
+        let sol = match warm {
+            Some(start) => smo.solve_with_start(&mut rows, start)?,
+            None => smo.solve_with(&mut rows)?,
         };
         if !sol.converged {
             // Best-effort boundary: record how far from optimal it stopped

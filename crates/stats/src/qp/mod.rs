@@ -8,11 +8,13 @@
 //!   with Cholesky factors of the free block updated row by row.
 //! - [`SmoSolver`]: sequential minimal optimization for the ν-one-class SVM
 //!   dual — minimize `½αᵀQα` over the simplex-box `Σα = 1`,
-//!   `0 ≤ α_i ≤ C`.
+//!   `0 ≤ α_i ≤ C` — from a sparse start with shrinking, reading `Q` by
+//!   rows through [`WorkingSetQ`] (a dense matrix, or
+//!   [`KernelRows`](crate::KernelRows) computed on first use).
 //!
-//! Both operate on dense [`Matrix`](sidefp_linalg::Matrix) Gram matrices,
-//! which is the right trade-off at the problem sizes of this workspace
-//! (tens to a few thousand samples).
+//! The box-band solver works on a dense
+//! [`Matrix`](sidefp_linalg::Matrix) Gram, the right trade-off at KMM's
+//! sizes (about a hundred samples).
 
 mod active_set;
 mod smo;

@@ -2,15 +2,20 @@ use sidefp_linalg::Matrix;
 
 use crate::StatsError;
 
-/// Maximal-violating-pair scan: `(i_best, g_min, j_best, g_max)` where `i`
-/// ranges over coordinates free to increase (`α_i < C`) and `j` over those
-/// free to decrease (`α_j > 0`). `usize::MAX` marks an empty candidate set.
-fn select_pair(alpha: &[f64], grad: &[f64], c: f64) -> (usize, f64, usize, f64) {
+/// Pairwise updates between two shrinking passes over the working set.
+const SHRINK_PERIOD: usize = 100;
+
+/// Maximal-violating-pair scan over the coordinates in `active`:
+/// `(i_best, g_min, j_best, g_max)` where `i` ranges over coordinates free
+/// to increase (`α_i < C`) and `j` over those free to decrease (`α_j > 0`).
+/// `usize::MAX` marks an empty candidate set.
+fn select_pair(alpha: &[f64], grad: &[f64], c: f64, active: &[usize]) -> (usize, f64, usize, f64) {
     let mut i_best = usize::MAX;
     let mut g_min = f64::INFINITY;
     let mut j_best = usize::MAX;
     let mut g_max = f64::NEG_INFINITY;
-    for (t, (&a, &g)) in alpha.iter().zip(grad.iter()).enumerate() {
+    for &t in active {
+        let (a, g) = (alpha[t], grad[t]);
         // Branchless eligibility (compiles to a select): ineligible
         // coordinates become ±∞ so the single rarely-taken comparison
         // below is the only branch the predictor has to learn.
@@ -28,18 +33,42 @@ fn select_pair(alpha: &[f64], grad: &[f64], c: f64) -> (usize, f64, usize, f64) 
     (i_best, g_min, j_best, g_max)
 }
 
+/// Unshrinks: rebuilds `grad = Qα` over all `n` coordinates from the rows
+/// of the nonzero `α` (loaded as one block where the row source computes
+/// them, folded in ascending row order), puts every coordinate back in
+/// the working set `active` and returns its maximal violating pair.
+fn unshrink<Q: WorkingSetQ>(
+    q: &mut Q,
+    alpha: &[f64],
+    c: f64,
+    grad: &mut [f64],
+    active: &mut Vec<usize>,
+) -> Result<(usize, f64, usize, f64), StatsError> {
+    active.clear();
+    active.extend((0..alpha.len()).filter(|&s| alpha[s] != 0.0));
+    q.load(active)?;
+    grad.fill(0.0);
+    for &s in active.iter() {
+        let a = alpha[s];
+        for (g, &k) in grad.iter_mut().zip(q.row(s)) {
+            *g += a * k;
+        }
+    }
+    active.clear();
+    active.extend(0..alpha.len());
+    Ok(select_pair(alpha, grad, c, active))
+}
+
 /// A source of rows of the SMO matrix `Q`.
 ///
-/// The solver only ever needs `Q` through three views: the working-set
-/// pair of rows for the analytic update, the diagonal for the curvature
-/// denominator, and one full mat-vec for the feasible start's gradient.
-/// Abstracting those lets the same solver run off a dense precomputed
-/// [`Matrix`] (fastest when `n²` fits comfortably in memory) or off an
-/// on-demand kernel-row cache such as
-/// [`KernelRowCache`](crate::KernelRowCache) (bounded memory for large
-/// populations).
-///
-/// Methods take `&mut self` so row sources may cache computed rows.
+/// The solver reads `Q` only by rows: the working pair's two rows for
+/// the analytic update (their diagonal entries give the curvature), and
+/// the rows of the nonzero `α` whenever it rebuilds the gradient `Qα`.
+/// [`WorkingSetQ::load`] makes rows readable — a row source may compute
+/// them there, once — and [`WorkingSetQ::row`] reads a loaded row.
+/// Implemented by a dense precomputed [`Matrix`] and by
+/// [`KernelRows`](crate::KernelRows), which computes kernel rows on
+/// first use so a solve never forms the rows it does not touch.
 pub trait WorkingSetQ {
     /// Number of rows/columns of the square matrix.
     fn len(&self) -> usize;
@@ -49,37 +78,30 @@ pub trait WorkingSetQ {
         self.len() == 0
     }
 
-    /// The diagonal entry `Q[i][i]`.
-    fn diag(&mut self, i: usize) -> f64;
-
-    /// Rows `i` and `j` as slices, `i ≠ j`.
-    fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]);
-
-    /// The product `Q·α` (used once, for the feasible start's gradient).
+    /// Makes rows `idx` readable through [`WorkingSetQ::row`].
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::DimensionMismatch`] if `alpha.len()` differs
-    /// from [`WorkingSetQ::len`].
-    fn matvec(&mut self, alpha: &[f64]) -> Result<Vec<f64>, StatsError>;
+    /// Propagates a row source's failure to compute a row.
+    fn load(&mut self, idx: &[usize]) -> Result<(), StatsError>;
+
+    /// Row `i`, which a [`WorkingSetQ::load`] call must have made
+    /// readable (a row source may panic otherwise).
+    fn row(&self, i: usize) -> &[f64];
 }
 
-/// Dense precomputed `Q`: rows are slices into the matrix storage.
+/// Dense precomputed `Q`: every row is readable, loading is free.
 impl WorkingSetQ for &Matrix {
     fn len(&self) -> usize {
         self.nrows()
     }
 
-    fn diag(&mut self, i: usize) -> f64 {
-        self[(i, i)]
+    fn load(&mut self, _idx: &[usize]) -> Result<(), StatsError> {
+        Ok(())
     }
 
-    fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
-        (self.row(i), self.row(j))
-    }
-
-    fn matvec(&mut self, alpha: &[f64]) -> Result<Vec<f64>, StatsError> {
-        Ok(Matrix::matvec(self, alpha)?)
+    fn row(&self, i: usize) -> &[f64] {
+        Matrix::row(self, i)
     }
 }
 
@@ -109,15 +131,18 @@ impl Default for SmoConfig {
 pub struct SmoSolution {
     /// Optimal dual variables.
     pub alpha: Vec<f64>,
-    /// Final gradient `Qα` (useful for computing the SVM offset ρ).
+    /// Final gradient `Qα` over all `n` coordinates, rebuilt from the
+    /// nonzero `α` (useful for computing the SVM offset ρ).
     pub gradient: Vec<f64>,
     /// Number of pairwise updates performed.
     pub iterations: usize,
-    /// Whether the KKT conditions were met within tolerance.
+    /// Whether the KKT conditions were met within tolerance over all `n`
+    /// coordinates.
     pub converged: bool,
-    /// KKT violation gap `g_max − g_min` at exit (below the configured
-    /// tolerance when `converged`; callers use it to decide whether a
-    /// best-effort solution is acceptable under a relaxed tolerance).
+    /// KKT violation gap `g_max − g_min` over all `n` coordinates at exit
+    /// (below the configured tolerance when `converged`; callers use it to
+    /// decide whether a best-effort solution is acceptable under a relaxed
+    /// tolerance).
     pub kkt_gap: f64,
 }
 
@@ -128,6 +153,22 @@ pub struct SmoSolution {
 /// linear term). The solver picks the maximal-violating pair at each step
 /// and updates it analytically, so the equality constraint is preserved by
 /// construction.
+///
+/// Two devices from LIBSVM (Chang & Lin 2011; Joachims 1999 for
+/// shrinking) keep a solve on a few rows of `Q`:
+///
+/// - **Sparse start.** A cold solve begins at `α = C` on the first
+///   `⌊1/C⌋` coordinates, the remaining mass on the next one and `0`
+///   elsewhere, so the starting gradient reads only those rows.
+/// - **Shrinking.** Every 100 updates, coordinates at `0` whose gradient
+///   exceeds the largest decreasable gradient, and coordinates at `C`
+///   whose gradient is below the smallest increasable one, leave the
+///   working set: the pair scan and the gradient update skip them.
+///
+/// The solve stops only on the full problem: when the working set looks
+/// optimal, the gradient is rebuilt over all `n` coordinates from the
+/// nonzero `α`, every coordinate rejoins the working set, and the
+/// maximal-violating-pair gap over all `n` must be below the tolerance.
 ///
 /// # Example
 ///
@@ -176,32 +217,34 @@ impl SmoSolver {
     }
 
     /// Solves the QP against any [`WorkingSetQ`] row source — a dense
-    /// matrix or an on-demand kernel-row cache.
+    /// matrix or kernel rows computed on first use — from the sparse
+    /// one-class start.
     ///
     /// # Errors
     ///
-    /// Same contract as [`SmoSolver::solve`].
+    /// Same contract as [`SmoSolver::solve`], plus any error the row
+    /// source reports.
     pub fn solve_with<Q: WorkingSetQ>(&self, q: &mut Q) -> Result<SmoSolution, StatsError> {
         let (n, c) = self.validate(q)?;
 
-        // Feasible start: uniform weights, clipped into the box. Uniform is
-        // always feasible because C·n ≥ 1.
-        let mut alpha = vec![(1.0 / n as f64).min(c); n];
-        // Repair any mass deficit from clipping (cannot happen for uniform,
-        // but keep the invariant explicit).
-        let mass: f64 = alpha.iter().sum();
-        if (mass - 1.0).abs() > 1e-12 {
-            let scale = 1.0 / mass;
-            for a in &mut alpha {
-                *a *= scale;
+        // Sparse feasible start: C on the first ⌊1/C⌋ coordinates, the
+        // rest of the mass on the next one. C·n ≥ 1, so the mass fits; a
+        // remainder below rounding level is dropped rather than placed.
+        let mut alpha = vec![0.0; n];
+        let mut rest = 1.0_f64;
+        for a in &mut alpha {
+            if rest <= c * 1e-12 {
+                break;
             }
+            *a = rest.min(c);
+            rest -= *a;
         }
 
         self.iterate(q, alpha)
     }
 
     /// Solves the QP starting from a caller-supplied iterate instead of the
-    /// uniform feasible point.
+    /// sparse one-class start.
     ///
     /// This is the warm-start entry: an `α` preserved from a previous fit on
     /// similar data lands near the new optimum, so the maximal-violating-pair
@@ -269,8 +312,8 @@ impl SmoSolver {
         Ok((n, c))
     }
 
-    /// The shared maximal-violating-pair loop, from an already-feasible
-    /// iterate (`α ∈ [0, C]ⁿ`, `Σα = 1`).
+    /// The shared maximal-violating-pair loop with shrinking, from an
+    /// already-feasible iterate (`α ∈ [0, C]ⁿ`, `Σα = 1`).
     fn iterate<Q: WorkingSetQ>(
         &self,
         q: &mut Q,
@@ -279,72 +322,74 @@ impl SmoSolver {
         let n = q.len();
         let c = self.config.upper;
 
-        // gradient = Qα.
-        let mut grad = q.matvec(&alpha)?;
-
-        // Maximal violating pair on the starting iterate:
+        // Maximal violating pair on the working set `active`:
         //   i (can increase): α_i < C with minimal gradient,
         //   j (can decrease): α_j > 0 with maximal gradient.
-        let (mut i_best, mut g_min, mut j_best, mut g_max) = select_pair(&alpha, &grad, c);
+        let mut grad = vec![0.0; n];
+        let mut active = Vec::with_capacity(n);
+        let (mut i_best, mut g_min, mut j_best, mut g_max) =
+            unshrink(q, &alpha, c, &mut grad, &mut active)?;
+        // `fresh`: just unshrunk, with no update since — the only state
+        // the solve may stop in.
+        let mut fresh = true;
 
         let mut iterations = 0;
         let mut converged = false;
-        let mut kkt_gap = 0.0;
-        while iterations < self.config.max_iter {
-            if i_best == usize::MAX || j_best == usize::MAX {
-                kkt_gap = 0.0;
-                converged = true;
+        loop {
+            let step = if i_best == usize::MAX
+                || j_best == usize::MAX
+                || g_max - g_min < self.config.tol
+            {
+                None
+            } else if iterations >= self.config.max_iter {
                 break;
-            }
-            kkt_gap = g_max - g_min;
-            if kkt_gap < self.config.tol {
-                converged = true;
-                break;
-            }
-            let (i, j) = (i_best, j_best);
-
-            // Analytic update along e_i − e_j: minimize
-            //   ½(α + δ(e_i − e_j))ᵀ Q (α + δ(e_i − e_j))
-            // → δ* = (g_j − g_i) / (Q_ii + Q_jj − 2Q_ij).
-            let dii = q.diag(i);
-            let djj = q.diag(j);
-            let (qi, qj) = q.pair(i, j);
-            let denom = dii + djj - 2.0 * qi[j];
-            let mut delta = if denom > 1e-12 {
-                (grad[j] - grad[i]) / denom
             } else {
-                // Flat direction: move as far as the box allows.
-                f64::INFINITY
+                // Analytic update along e_i − e_j: minimize
+                //   ½(α + δ(e_i − e_j))ᵀ Q (α + δ(e_i − e_j))
+                // → δ* = (g_j − g_i) / (Q_ii + Q_jj − 2Q_ij).
+                let (i, j) = (i_best, j_best);
+                q.load(&[i, j])?;
+                let (qi, qj) = (q.row(i), q.row(j));
+                let denom = qi[i] + qj[j] - 2.0 * qi[j];
+                let delta = if denom > 1e-12 {
+                    (grad[j] - grad[i]) / denom
+                } else {
+                    // Flat direction: move as far as the box allows.
+                    f64::INFINITY
+                };
+                // Box clipping. NaN or non-positive steps mean the pair is
+                // numerically stuck, which counts as optimal.
+                let delta = delta.min(c - alpha[i]).min(alpha[j]);
+                (delta > 0.0).then_some(delta)
             };
-            // Box clipping. NaN or non-positive steps mean the pair is
-            // numerically stuck.
-            delta = delta.min(c - alpha[i]).min(alpha[j]);
-            if delta.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                // Numerically stuck pair; treat as converged to avoid spin.
-                converged = true;
-                break;
-            }
+            let Some(delta) = step else {
+                if fresh {
+                    converged = true;
+                    break;
+                }
+                // The working set looks optimal: check again on all n.
+                (i_best, g_min, j_best, g_max) = unshrink(q, &alpha, c, &mut grad, &mut active)?;
+                fresh = true;
+                continue;
+            };
 
+            let (i, j) = (i_best, j_best);
+            let (qi, qj) = (q.row(i), q.row(j));
             alpha[i] += delta;
             alpha[j] -= delta;
-            // Incremental gradient update grad += δ(Q e_i − Q e_j) fused
-            // with the *next* pair selection: one pass over (grad, α, Q
-            // rows) instead of an update pass plus a selection pass. The
-            // gradient expression matches the plain loop element-for-element
-            // (no cross-element reduction), so the trajectory is
-            // bit-identical to the unfused form.
+            fresh = false;
+            // Incremental gradient update grad += δ(Q e_i − Q e_j) over the
+            // working set, fused with the *next* pair selection: one pass
+            // over (grad, α, Q rows) instead of an update pass plus a
+            // selection pass.
             i_best = usize::MAX;
             g_min = f64::INFINITY;
             j_best = usize::MAX;
             g_max = f64::NEG_INFINITY;
-            for (t, ((g, &a), (&ki, &kj))) in grad
-                .iter_mut()
-                .zip(alpha.iter())
-                .zip(qi.iter().zip(qj.iter()))
-                .enumerate()
-            {
-                let v = *g + delta * (ki - kj);
-                *g = v;
+            for &t in &active {
+                let v = grad[t] + delta * (qi[t] - qj[t]);
+                grad[t] = v;
+                let a = alpha[t];
                 // Branchless eligibility, as in `select_pair`.
                 let up = if a < c - 1e-15 { v } else { f64::INFINITY };
                 let down = if a > 1e-15 { v } else { f64::NEG_INFINITY };
@@ -358,27 +403,29 @@ impl SmoSolver {
                 }
             }
             iterations += 1;
+
+            if iterations % SHRINK_PERIOD == 0 {
+                // Shrink: a coordinate at 0 above every decreasable
+                // gradient, or at C below every increasable one, cannot be
+                // in the next violating pair; the final rebuild re-checks
+                // it. The selected pair itself never qualifies.
+                active.retain(|&t| {
+                    let (a, g) = (alpha[t], grad[t]);
+                    !((a <= 1e-15 && g > g_max) || (a >= c - 1e-15 && g < g_min))
+                });
+            }
         }
 
-        if !converged {
-            // Budget exhausted: report the gap of the *final* iterate, not of
-            // the one the last update started from.
-            let mut g_min = f64::INFINITY;
-            let mut g_max = f64::NEG_INFINITY;
-            for t in 0..n {
-                if alpha[t] < c - 1e-15 {
-                    g_min = g_min.min(grad[t]);
-                }
-                if alpha[t] > 1e-15 {
-                    g_max = g_max.max(grad[t]);
-                }
-            }
-            kkt_gap = if g_min.is_finite() && g_max.is_finite() {
-                (g_max - g_min).max(0.0)
-            } else {
-                0.0
-            };
+        if !fresh {
+            // Budget exhausted: report the gap of the final iterate over
+            // all n coordinates, from a rebuilt gradient.
+            (i_best, g_min, j_best, g_max) = unshrink(q, &alpha, c, &mut grad, &mut active)?;
         }
+        let kkt_gap = if i_best == usize::MAX || j_best == usize::MAX {
+            0.0
+        } else {
+            (g_max - g_min).max(0.0)
+        };
 
         Ok(SmoSolution {
             alpha,
@@ -393,10 +440,219 @@ impl SmoSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GramMatrix, Kernel, KernelRows, MultivariateNormal};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn objective(q: &Matrix, alpha: &[f64]) -> f64 {
         let qa = q.matvec(alpha).unwrap();
         0.5 * alpha.iter().zip(&qa).map(|(a, b)| a * b).sum::<f64>()
+    }
+
+    /// Standard-normal rows, the shape of a standardized fingerprint set.
+    fn normal_rows(n: usize, dim: usize, seed: u64) -> Matrix {
+        let mvn = MultivariateNormal::independent(vec![0.0; dim], &vec![1.0; dim]).unwrap();
+        mvn.sample_matrix(&mut StdRng::seed_from_u64(seed), n)
+    }
+
+    /// Feasibility error and maximal-violating-pair gap of `alpha` over
+    /// all n coordinates, from a gradient recomputed on the dense `q`.
+    fn dense_certificate(q: &Matrix, alpha: &[f64], c: f64) -> (f64, f64) {
+        let grad = q.matvec(alpha).unwrap();
+        let mass: f64 = alpha.iter().sum();
+        let out_of_box = alpha
+            .iter()
+            .map(|&a| (-a).max(a - c).max(0.0))
+            .fold(0.0, f64::max);
+        let all: Vec<usize> = (0..alpha.len()).collect();
+        let (i, g_min, j, g_max) = select_pair(alpha, &grad, c, &all);
+        let gap = if i == usize::MAX || j == usize::MAX {
+            0.0
+        } else {
+            (g_max - g_min).max(0.0)
+        };
+        ((mass - 1.0).abs().max(out_of_box), gap)
+    }
+
+    /// Test-only reference: the plain maximal-violating-pair loop on a
+    /// dense `Q` from the uniform start, without shrinking.
+    fn dense_uniform_reference(q: &Matrix, c: f64, tol: f64) -> Vec<f64> {
+        let n = q.nrows();
+        let mut alpha = vec![1.0 / n as f64; n];
+        let mut grad = q.matvec(&alpha).unwrap();
+        let all: Vec<usize> = (0..n).collect();
+        for _ in 0..1_000_000 {
+            let (i, g_min, j, g_max) = select_pair(&alpha, &grad, c, &all);
+            if i == usize::MAX || j == usize::MAX || g_max - g_min < tol {
+                break;
+            }
+            let denom = q[(i, i)] + q[(j, j)] - 2.0 * q[(i, j)];
+            let step = if denom > 1e-12 {
+                (grad[j] - grad[i]) / denom
+            } else {
+                f64::INFINITY
+            };
+            let delta = step.min(c - alpha[i]).min(alpha[j]);
+            alpha[i] += delta;
+            alpha[j] -= delta;
+            for (t, g) in grad.iter_mut().enumerate() {
+                *g += delta * (q[(i, t)] - q[(j, t)]);
+            }
+        }
+        alpha
+    }
+
+    /// A ν-OCSVM dual on standard-normal rows: data, kernel and C.
+    fn ocsvm_problem(
+        n: usize,
+        dim: usize,
+        nu: f64,
+        gamma: f64,
+        seed: u64,
+    ) -> (Matrix, Kernel, f64) {
+        (
+            normal_rows(n, dim, seed),
+            Kernel::Rbf { gamma },
+            1.0 / (nu * n as f64),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_rbf_problems_end_on_an_all_n_kkt_certificate(
+            n in 2usize..201,
+            dim in 1usize..12,
+            nu in 0.01_f64..1.0,
+            gamma in 0.02_f64..5.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let (data, kernel, c) = ocsvm_problem(n, dim, nu, gamma, seed);
+            let cfg = SmoConfig { upper: c, tol: 1e-6, max_iter: 1_000_000 };
+            let sol = SmoSolver::new(cfg).solve_with(&mut KernelRows::new(kernel, &data)).unwrap();
+            prop_assert!(sol.converged);
+            // Recomputed from a fresh dense Gram over all n coordinates: a
+            // final unshrink that skipped coordinates would show here.
+            let dense = GramMatrix::symmetric(kernel, &data);
+            let (infeasible, gap) = dense_certificate(dense.matrix(), &sol.alpha, c);
+            prop_assert!(infeasible < 1e-9, "feasibility error {infeasible}");
+            prop_assert!(gap < cfg.tol + 1e-12, "dense KKT gap {gap}");
+            prop_assert!((gap - sol.kkt_gap).abs() < 1e-12, "gap {gap} vs reported {}", sol.kkt_gap);
+        }
+    }
+
+    #[test]
+    fn smo_on_kernel_rows_matches_smo_on_dense_gram() {
+        // The row store's entries equal the dense Gram's bit for bit, so
+        // the two row sources drive the identical trajectory.
+        let (data, kernel, c) = ocsvm_problem(150, 3, 0.1, 0.8, 5);
+        let solver = SmoSolver::new(SmoConfig {
+            upper: c,
+            ..Default::default()
+        });
+        let dense = solver
+            .solve(GramMatrix::symmetric(kernel, &data).matrix())
+            .unwrap();
+        let rows = solver
+            .solve_with(&mut KernelRows::new(kernel, &data))
+            .unwrap();
+        assert!(rows.converged);
+        assert_eq!(rows, dense);
+    }
+
+    #[test]
+    fn b2_shaped_solve_reads_fewer_than_n_rows() {
+        // B2/B5: 1,500 standardized 6-column rows, ν = 0.05, γ = 0.5.
+        let (data, kernel, c) = ocsvm_problem(1500, 6, 0.05, 0.5, 29);
+        let mut rows = KernelRows::new(kernel, &data);
+        let cfg = SmoConfig {
+            upper: c,
+            tol: 1e-6,
+            max_iter: 200_000,
+        };
+        let sol = SmoSolver::new(cfg).solve_with(&mut rows).unwrap();
+        assert!(sol.converged);
+        assert!(rows.held() < 1500 / 2, "held {} of 1500 rows", rows.held());
+    }
+
+    #[test]
+    fn one_step_budget_is_feasible_unconverged_with_an_all_n_gap() {
+        let (data, kernel, c) = ocsvm_problem(300, 4, 0.1, 0.5, 3);
+        let cfg = SmoConfig {
+            upper: c,
+            tol: 1e-6,
+            max_iter: 1,
+        };
+        let sol = SmoSolver::new(cfg)
+            .solve_with(&mut KernelRows::new(kernel, &data))
+            .unwrap();
+        assert!(!sol.converged);
+        assert_eq!(sol.iterations, 1);
+        let dense = GramMatrix::symmetric(kernel, &data);
+        let (infeasible, gap) = dense_certificate(dense.matrix(), &sol.alpha, c);
+        assert!(infeasible < 1e-12, "feasibility error {infeasible}");
+        assert!(gap > cfg.tol);
+        assert!(
+            (gap - sol.kkt_gap).abs() < 1e-12,
+            "{gap} vs {}",
+            sol.kkt_gap
+        );
+        let qa = dense.matrix().matvec(&sol.alpha).unwrap();
+        for (g, e) in sol.gradient.iter().zip(&qa) {
+            assert!((g - e).abs() < 1e-12, "gradient is Qα over all n");
+        }
+    }
+
+    #[test]
+    fn objective_matches_dense_uniform_start_reference() {
+        for (n, dim, nu, gamma, seed) in [
+            (200, 6, 0.05, 0.5, 1),
+            (120, 2, 0.2, 2.0, 2),
+            (400, 11, 0.1, 0.1, 3),
+        ] {
+            let (data, kernel, c) = ocsvm_problem(n, dim, nu, gamma, seed);
+            let dense = GramMatrix::symmetric(kernel, &data);
+            // A tolerance tight enough that either solve's distance from
+            // the optimum sits well below the compared 1e-9.
+            let cfg = SmoConfig {
+                upper: c,
+                tol: 1e-10,
+                max_iter: 1_000_000,
+            };
+            let sol = SmoSolver::new(cfg)
+                .solve_with(&mut KernelRows::new(kernel, &data))
+                .unwrap();
+            let reference = dense_uniform_reference(dense.matrix(), c, cfg.tol);
+            let (got, want) = (
+                objective(dense.matrix(), &sol.alpha),
+                objective(dense.matrix(), &reference),
+            );
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs(),
+                "n={n}: objective {got} vs reference {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn cold_start_is_sparse_and_feasible() {
+        // C = 0.3: 1/C = 3.33…, so α starts at (0.3, 0.3, 0.3, 0.1, 0, …);
+        // one budgeted update moves at most two coordinates.
+        let q = Matrix::identity(8);
+        let cfg = SmoConfig {
+            upper: 0.3,
+            tol: 1e-6,
+            max_iter: 0,
+        };
+        let sol = SmoSolver::new(cfg).solve(&q).unwrap();
+        assert_eq!(sol.iterations, 0);
+        assert!(!sol.converged);
+        let want = [0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0];
+        for (a, w) in sol.alpha.iter().zip(want) {
+            assert!((a - w).abs() < 1e-15, "{:?}", sol.alpha);
+        }
     }
 
     #[test]

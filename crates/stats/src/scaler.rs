@@ -1,6 +1,6 @@
 use sidefp_linalg::Matrix;
 
-use crate::{descriptive, StatsError};
+use crate::StatsError;
 
 /// Z-score feature standardizer.
 ///
@@ -49,17 +49,32 @@ impl StandardScaler {
                 got: data.nrows(),
             });
         }
-        let mut means = Vec::with_capacity(data.ncols());
-        let mut stds = Vec::with_capacity(data.ncols());
-        for j in 0..data.ncols() {
-            let col = data.col(j);
-            let mean = descriptive::mean(&col)?;
-            means.push(mean);
-            let s = descriptive::std_dev(&col)?;
+        // Two row-major passes, one for the sums and one for the squared
+        // deviations. Each column's accumulator starts at −0.0 and takes
+        // its values in row order, as `f64`'s `Sum` does, so the result is
+        // bit-identical to `descriptive::mean`/`std_dev` on a column copy.
+        let n = data.nrows() as f64;
+        let mut means = vec![-0.0; data.ncols()];
+        for row in data.rows_iter() {
+            for (m, &x) in means.iter_mut().zip(row) {
+                *m += x;
+            }
+        }
+        for m in &mut means {
+            *m /= n;
+        }
+        let mut stds = vec![-0.0; data.ncols()];
+        for row in data.rows_iter() {
+            for ((s, &x), &m) in stds.iter_mut().zip(row).zip(&means) {
+                *s += (x - m) * (x - m);
+            }
+        }
+        for (s, &mean) in stds.iter_mut().zip(&means) {
+            let sd = (*s / (n - 1.0)).sqrt();
             // Columns that are constant up to floating-point round-off must
             // be treated as zero-variance, or the z-scores explode.
             let floor = mean.abs() * 1e-9 + 1e-12;
-            stds.push(if s > floor { s } else { 1.0 });
+            *s = if sd > floor { sd } else { 1.0 };
         }
         Ok(StandardScaler { means, stds })
     }
@@ -214,8 +229,33 @@ impl StandardScaler {
 mod tests {
     use super::*;
 
+    use crate::descriptive;
+
     fn data() -> Matrix {
         Matrix::from_rows(&[&[10.0, 5.0], &[20.0, 5.0], &[30.0, 5.0]]).unwrap()
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_per_column_descriptive_stats() {
+        // Irregular values at several magnitudes, a constant column and a
+        // column that is constant up to round-off.
+        let d = Matrix::from_fn(1003, 4, |i, j| match j {
+            0 => ((i * 7919) % 1009) as f64 * 0.137 - 61.3,
+            1 => 2.5,
+            2 => 1e6 + ((i * 31) % 17) as f64 * 1e-4,
+            _ => 1.0 + if i % 2 == 0 { 1e-13 } else { 0.0 },
+        });
+        let s = StandardScaler::fit(&d).unwrap();
+        for j in 0..4 {
+            let col = d.col(j);
+            let mean = descriptive::mean(&col).unwrap();
+            let sd = descriptive::std_dev(&col).unwrap();
+            let floor = mean.abs() * 1e-9 + 1e-12;
+            let want_sd = if sd > floor { sd } else { 1.0 };
+            assert_eq!(s.means()[j].to_bits(), mean.to_bits(), "mean {j}");
+            assert_eq!(s.stds()[j].to_bits(), want_sd.to_bits(), "std {j}");
+        }
+        assert_eq!(s.stds()[1], 1.0, "constant column gets a unit scale");
     }
 
     #[test]

@@ -148,6 +148,11 @@ else
     # random RBF Grams and paper-shift problems, and its updated Cholesky
     # factor must match a fresh factorization.
     cargo test -q -p sidefp-stats --lib qp::active_set
+    # OCSVM solve smoke: the shrinking SMO over kernel rows computed on
+    # first use must end feasible with an all-n KKT gap below tolerance
+    # (checked against a fresh dense Gram), drive the same trajectory as
+    # the dense Gram, and read fewer than n rows on the B2 shape.
+    cargo test -q -p sidefp-stats --lib qp::smo
     # MARS smoke: shared-prefix pruning must pick the same bases with the
     # same coefficient and GCV bits as a pruning that refits every trial.
     cargo test -q -p sidefp-stats --lib mars

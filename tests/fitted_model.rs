@@ -74,7 +74,7 @@ fn tiny_artifact_bytes_are_pinned() {
         (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
     });
     assert_eq!(bytes.len(), 34_334);
-    assert_eq!(checksum, 0xafe7_c751_86ca_0707, "got {checksum:#018x}");
+    assert_eq!(checksum, 0xb4a9_94da_018a_961c, "got {checksum:#018x}");
 }
 
 #[test]

@@ -779,32 +779,20 @@ fn decode_scaler(r: &mut Reader<'_>) -> Result<ScalerState, ArtifactError> {
     })
 }
 
+/// Tag byte written before a kernel's parameters. RBF is the only kernel;
+/// tags 1 and 2 once named the retired linear and polynomial kernels and
+/// are rejected as invalid like any other tag.
+const RBF_KERNEL_TAG: u8 = 0;
+
 fn encode_kernel(w: &mut Writer, k: &Kernel) {
-    match *k {
-        Kernel::Rbf { gamma } => {
-            w.u8(0);
-            w.f64(gamma);
-        }
-        Kernel::Linear => w.u8(1),
-        Kernel::Polynomial { degree, coef0 } => {
-            w.u8(2);
-            w.u32(degree);
-            w.f64(coef0);
-        }
-        // `Kernel` is non_exhaustive upstream; new variants must get a tag
-        // here (and a version bump) before they can be persisted.
-        _ => unreachable!("unencodable kernel variant"),
-    }
+    let Kernel::Rbf { gamma } = *k;
+    w.u8(RBF_KERNEL_TAG);
+    w.f64(gamma);
 }
 
 fn decode_kernel(r: &mut Reader<'_>) -> Result<Kernel, ArtifactError> {
     match r.u8()? {
-        0 => Ok(Kernel::Rbf { gamma: r.f64()? }),
-        1 => Ok(Kernel::Linear),
-        2 => Ok(Kernel::Polynomial {
-            degree: r.u32()?,
-            coef0: r.f64()?,
-        }),
+        RBF_KERNEL_TAG => Ok(Kernel::Rbf { gamma: r.f64()? }),
         t => Err(ArtifactError::Invalid {
             what: format!("unknown kernel tag {t}"),
         }),
@@ -1103,6 +1091,39 @@ mod tests {
                 what: "unknown SVM decision tag 1".into()
             }
         );
+    }
+
+    /// Tags 1 and 2 once named the linear and polynomial kernels, which
+    /// no pipeline fitted. A checksum-consistent artifact carrying either
+    /// must fail with a typed error, not a panic or a misparse.
+    #[test]
+    fn retired_kernel_tags_are_rejected_typed() {
+        let model = tiny_model();
+        let bytes = model.to_bytes();
+        let svm = model.boundaries()[0].svm().export_state();
+        let mut w = Writer::default();
+        encode_svm(&mut w, &svm);
+        // rho, nu, input_dim, the support count and the solve
+        // iterations precede the kernel tag.
+        let tag_in_svm = 40;
+        assert_eq!(w.buf[tag_in_svm], RBF_KERNEL_TAG);
+        let at = bytes
+            .windows(w.buf.len())
+            .position(|win| win == w.buf.as_slice())
+            .expect("B1's SVM encoding is in the artifact");
+        for tag in [1, 2] {
+            let mut retired = bytes.clone();
+            retired[at + tag_in_svm] = tag;
+            let end = retired.len() - 8;
+            let check = fnv1a64(&retired[HEADER_LEN..end]);
+            retired[end..].copy_from_slice(&check.to_le_bytes());
+            assert_eq!(
+                FittedModel::from_bytes(&retired).unwrap_err(),
+                ArtifactError::Invalid {
+                    what: format!("unknown kernel tag {tag}")
+                }
+            );
+        }
     }
 
     #[test]

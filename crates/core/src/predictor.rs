@@ -13,6 +13,28 @@ use sidefp_stats::{regressor_from_state, Regressor, RegressorState};
 use crate::config::{RegressionSpace, RegressorKind};
 use crate::CoreError;
 
+/// One column's fitted model, or its error, with the context it reported
+/// into.
+type ColumnFit = (
+    Result<Box<dyn Regressor>, CoreError>,
+    sidefp_obs::RunContext,
+);
+
+/// Fits the regression of one fingerprint column `y` on `x`.
+fn fit_column(
+    x: &Matrix,
+    y: &[f64],
+    kind: &RegressorKind,
+    obs: &sidefp_obs::RunContext,
+) -> Result<Box<dyn Regressor>, CoreError> {
+    Ok(match kind {
+        RegressorKind::Mars(cfg) => Box::new(Mars::fit_observed(x, y, cfg, obs)?),
+        RegressorKind::Ridge(cfg) => Box::new(PolynomialRidge::fit_observed(x, y, cfg, obs)?),
+        // k-NN has no iterative solver, hence nothing to observe.
+        RegressorKind::Knn(cfg) => Box::new(KnnRegressor::fit(x, y, cfg)?),
+    })
+}
+
 /// A bank of fitted `g_j` regressions mapping a PCM vector to each
 /// fingerprint coordinate.
 ///
@@ -118,18 +140,24 @@ impl FingerprintPredictor {
                 (lx, ly)
             }
         };
-        let mut models: Vec<Box<dyn Regressor>> = Vec::with_capacity(y_all.ncols());
-        for j in 0..y_all.ncols() {
-            let y = y_all.col(j);
-            let model: Box<dyn Regressor> = match kind {
-                RegressorKind::Mars(cfg) => Box::new(Mars::fit_observed(&x, &y, cfg, obs)?),
-                RegressorKind::Ridge(cfg) => {
-                    Box::new(PolynomialRidge::fit_observed(&x, &y, cfg, obs)?)
-                }
-                // k-NN has no iterative solver, hence nothing to observe.
-                RegressorKind::Knn(cfg) => Box::new(KnnRegressor::fit(&x, &y, cfg)?),
-            };
-            models.push(model);
+        // One column per part of a tile queue: a worker that finishes a
+        // cheap column claims the next, so an 11-column bank balances.
+        // Each fit runs its own candidate scans as a plain loop (a nested
+        // section runs sequentially) and reports into a context of its own;
+        // those are absorbed in column order after the join, so the trace
+        // and solver health match the sequential loop's event for event.
+        let ncols = y_all.ncols();
+        let mut fits: Vec<Option<ColumnFit>> = (0..ncols).map(|_| None).collect();
+        let cuts: Vec<usize> = (1..ncols).collect();
+        sidefp_parallel::for_each_split_mut(&mut fits, &cuts, |j, slot| {
+            let col_obs = sidefp_obs::RunContext::new();
+            let model = fit_column(&x, &y_all.col(j), kind, &col_obs);
+            slot[0] = Some((model, col_obs));
+        });
+        let mut models: Vec<Box<dyn Regressor>> = Vec::with_capacity(ncols);
+        for (model, col_obs) in fits.into_iter().flatten() {
+            obs.absorb(&col_obs);
+            models.push(model?);
         }
         Ok(FingerprintPredictor {
             models,

@@ -6,7 +6,7 @@
 //! those products the way a BLAS does — operands are repacked into
 //! cache-blocked, contiguous panels and consumed by a 4×4 register
 //! micro-kernel — and then goes one step further: an [`Epilogue`] hook
-//! applies the `‖x‖² + ‖y‖² − 2⟨x,y⟩` identity and the RBF/polynomial
+//! applies the `‖x‖² + ‖y‖² − 2⟨x,y⟩` identity and the RBF
 //! scalar map to each output stripe *while it is still in cache*,
 //! eliminating the second full-matrix pass every kernel consumer used to
 //! pay after the product was materialized.
@@ -63,11 +63,10 @@ thread_local! {
 /// Scalar map fused into the GEMM output stripe while it is still hot.
 ///
 /// The variants mirror the kernel consumers in `sidefp-stats`: the raw
-/// product (`None`), the squared-distance identity, the RBF map over that
-/// identity, and the polynomial kernel map. `a_norms[i]` / `b_norms[j]`
-/// must hold the ascending-fold squared norms of the corresponding rows
-/// (see [`self_dot_fold`]) so the `i == j` diagonal of a symmetric
-/// product cancels to exactly `0.0`.
+/// product (`None`), the squared-distance identity and the RBF map over
+/// that identity. `a_norms[i]` / `b_norms[j]` must hold the ascending-fold
+/// squared norms of the corresponding rows (see [`self_dot_fold`]) so the
+/// `i == j` diagonal of a symmetric product cancels to exactly `0.0`.
 #[derive(Debug, Clone, Copy)]
 pub enum Epilogue<'a> {
     /// Leave the raw dot products in place.
@@ -87,13 +86,6 @@ pub enum Epilogue<'a> {
         a_norms: &'a [f64],
         /// Squared norms of the `B` rows (ascending fold).
         b_norms: &'a [f64],
-    },
-    /// `out[i][j] = (p + coef0)^degree` (polynomial kernel map).
-    Polynomial {
-        /// Polynomial degree.
-        degree: u32,
-        /// Additive constant inside the power.
-        coef0: f64,
     },
 }
 
@@ -122,11 +114,6 @@ impl Epilogue<'_> {
                     *v = -gamma * (ni + b_norms[j0 + off] - 2.0 * *v).max(0.0);
                 }
                 vecops::exp_mut(seg);
-            }
-            Epilogue::Polynomial { degree, coef0 } => {
-                for v in seg.iter_mut() {
-                    *v = (*v + coef0).powi(degree as i32);
-                }
             }
         }
     }
@@ -786,11 +773,13 @@ mod tests {
         // k == 0: dots are zero, the epilogue still maps them.
         let a = Matrix::zeros(3, 0);
         let mut out = Matrix::zeros(3, 3);
+        let norms = [0.0; 3];
         syrk_fused(
             &a,
-            &Epilogue::Polynomial {
-                degree: 2,
-                coef0: 1.0,
+            &Epilogue::Rbf {
+                gamma: 0.5,
+                a_norms: &norms,
+                b_norms: &norms,
             },
             &mut out,
         );

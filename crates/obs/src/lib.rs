@@ -514,6 +514,34 @@ impl RunContext {
         });
     }
 
+    /// Adds `child`'s solver-health counters and stage timings to this
+    /// context and appends its buffered trace events, oldest first, as new
+    /// records of this one. A parallel section that gives each task a
+    /// context of its own absorbs them in task order after the join, so
+    /// the merged trace is the one the sequential loop writes.
+    pub fn absorb(&self, child: &RunContext) {
+        let h = child.solver_health();
+        let c = &self.inner.counters;
+        for (counter, n) in [
+            (&c.cholesky_retries, h.cholesky_retries),
+            (&c.smo_relaxed, h.smo_relaxed),
+            (&c.smo_nonconverged, h.smo_nonconverged),
+            (&c.qp_relaxed, h.qp_relaxed),
+            (&c.qp_nonconverged, h.qp_nonconverged),
+            (&c.kde_pilot_floors, h.kde_pilot_floors),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+        for (name, ms) in child.timing_snapshot() {
+            self.record_timing(&name, ms);
+        }
+        let events = child.trace_events();
+        let mut ring = lock_unpoisoned(&self.inner.trace);
+        for record in events {
+            ring.push(record.event);
+        }
+    }
+
     /// Number of events currently held in the ring.
     pub fn trace_len(&self) -> usize {
         lock_unpoisoned(&self.inner.trace).events.len()
@@ -602,6 +630,34 @@ mod tests {
         let a2 = a.clone();
         a2.record_smo_relaxed();
         assert_eq!(a.solver_health().smo_relaxed, 2);
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_timings_and_appends_events_in_order() {
+        let parent = RunContext::new();
+        parent.trace_rescue("kde", "pilot_floor", 1);
+        parent.record_timing("mc", 1.0);
+        let child = RunContext::new();
+        child.record_cholesky_retries(2);
+        child.record_qp_relaxed();
+        child.record_timing("mc", 0.5);
+        child.trace_rescue("cholesky", "ridge_retry", 2);
+        child.trace(TraceEvent::ModelFit {
+            model: "mars",
+            detail: "bases=3".into(),
+        });
+        parent.absorb(&child);
+        let health = parent.solver_health();
+        assert_eq!(health.cholesky_retries, 2);
+        assert_eq!(health.qp_relaxed, 1);
+        assert_eq!(health.total(), 3);
+        assert_eq!(parent.timing_snapshot(), [("mc".to_string(), 1.5)]);
+        let events = parent.trace_events();
+        assert_eq!(events.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(events[1].event, child.trace_events()[0].event);
+        assert_eq!(events[2].event, child.trace_events()[1].event);
+        // The child is read, not drained.
+        assert_eq!(child.trace_len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! epilogues** ([`sidefp_linalg::gemm`]): the micro-kernel forms the
 //! inner products `X·Yᵀ`, and while each output stripe is still in cache
 //! the epilogue applies the identity `‖x − y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩`
-//! and the kernel's scalar map (`exp`, `powi`) in the same pass — there
+//! and the RBF map (`exp`) in the same pass — there
 //! is no second full-matrix sweep over a materialized product. Symmetric
 //! Grams use the `A·Aᵀ` entry point, which only forms the upper triangle
 //! (the dot-product count is halved) and mirrors the lower one with plain
@@ -65,7 +65,7 @@ impl GramMatrix {
             };
         }
         let mut values = Matrix::zeros(n, n);
-        let norms = kernel_norms(kernel, data);
+        let norms = row_norms(data);
         gemm::syrk_fused(data, &epilogue(kernel, &norms, &norms), &mut values);
         mirror_lower_triangle(&mut values);
         GramMatrix { kernel, values }
@@ -82,16 +82,9 @@ impl GramMatrix {
     ///
     /// # Errors
     ///
-    /// - [`StatsError::InvalidParameter`] for kernels that are not a pure
-    ///   function of distance (linear, polynomial).
-    /// - [`StatsError::DimensionMismatch`] if `d2` is not square.
+    /// Returns [`StatsError::DimensionMismatch`] if `d2` is not square.
     pub fn from_squared_distances(kernel: Kernel, d2: Matrix) -> Result<GramMatrix, StatsError> {
-        let Kernel::Rbf { gamma } = kernel else {
-            return Err(StatsError::InvalidParameter {
-                name: "kernel",
-                reason: format!("{kernel:?} is not a function of pairwise distance"),
-            });
-        };
+        let Kernel::Rbf { gamma } = kernel;
         if d2.nrows() != d2.ncols() {
             return Err(StatsError::DimensionMismatch {
                 expected: d2.nrows(),
@@ -127,7 +120,7 @@ impl GramMatrix {
             return Ok(Matrix::zeros(na, nb));
         }
         let mut values = Matrix::zeros(na, nb);
-        let (a_norms, b_norms) = (kernel_norms(kernel, a), kernel_norms(kernel, b));
+        let (a_norms, b_norms) = (row_norms(a), row_norms(b));
         gemm::gemm_nt_fused(a, b, &epilogue(kernel, &a_norms, &b_norms), &mut values);
         Ok(values)
     }
@@ -209,6 +202,64 @@ pub fn pairwise_squared_distances(data: &Matrix) -> Matrix {
     d2
 }
 
+/// Target entry count of one part of [`packed_squared_distances`]'s tile
+/// queue (128 KiB of output): about 70 parts at the boundary fits'
+/// `n = 1,500`, so the triangle's uneven rows balance across workers.
+const PACKED_PART: usize = 1 << 14;
+
+/// The strict upper triangle of [`pairwise_squared_distances`], packed
+/// row by row (row `i` holds its `n − 1 − i` entries `j > i`), without
+/// forming the `n × n` matrix — the median heuristic's input.
+///
+/// Each entry is the micro-kernel's ascending-fold dot product (a zero
+/// start plus one `a·b` per column, in column order, formed over the
+/// transposed data so a row's entries vectorize) mapped by the same
+/// [`Epilogue::SquaredDistance`] with the same row norms, so it equals the
+/// matrix entry bit for bit. Blocks of whole rows with about
+/// [`PACKED_PART`] entries each form a tile queue across the pool; every
+/// entry depends only on its own pair, so the result is identical at any
+/// thread count.
+pub(crate) fn packed_squared_distances(data: &Matrix) -> Vec<f64> {
+    let n = data.nrows();
+    let mut out = vec![0.0; n * n.saturating_sub(1) / 2];
+    if out.is_empty() {
+        return out;
+    }
+    let norms = row_norms(data);
+    let epi = Epilogue::SquaredDistance {
+        a_norms: &norms,
+        b_norms: &norms,
+    };
+    let columns = data.transpose();
+    // Row i starts at i·n − i(i+1)/2; a part starts at a row start.
+    let offset = |i: usize| i * n - i * (i + 1) / 2;
+    let mut first_rows = vec![0];
+    let mut cuts = Vec::new();
+    for i in 1..n - 1 {
+        if offset(i) - cuts.last().copied().unwrap_or(0) >= PACKED_PART {
+            first_rows.push(i);
+            cuts.push(offset(i));
+        }
+    }
+    sidefp_parallel::for_each_split_mut(&mut out, &cuts, |part, mut rest| {
+        let mut i = first_rows[part];
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at_mut(n - 1 - i);
+            // seg starts at zero; one ascending pass over the columns
+            // forms every entry's fold, vectorized across j.
+            for (&a, col) in data.row(i).iter().zip(columns.rows_iter()) {
+                for (v, &b) in seg.iter_mut().zip(&col[i + 1..]) {
+                    *v += a * b;
+                }
+            }
+            epi.apply_row(i, i + 1, seg);
+            rest = tail;
+            i += 1;
+        }
+    });
+    out
+}
+
 /// Per-row squared norms with the micro-kernel's own ascending fold, so
 /// the symmetric diagonal cancels bit-exactly (see
 /// [`gemm::self_dot_fold`]).
@@ -216,26 +267,13 @@ fn row_norms(data: &Matrix) -> Vec<f64> {
     sidefp_parallel::map_indexed(data.nrows(), |i| gemm::self_dot_fold(data.row(i)))
 }
 
-/// The row norms `kernel`'s epilogue reads: the RBF map needs them, the
-/// linear and polynomial maps read none.
-fn kernel_norms(kernel: Kernel, data: &Matrix) -> Vec<f64> {
-    match kernel {
-        Kernel::Rbf { .. } => row_norms(data),
-        Kernel::Linear | Kernel::Polynomial { .. } => Vec::new(),
-    }
-}
-
 /// The fused GEMM epilogue that turns dot products into `kernel` values.
 fn epilogue<'a>(kernel: Kernel, a_norms: &'a [f64], b_norms: &'a [f64]) -> Epilogue<'a> {
-    match kernel {
-        Kernel::Rbf { gamma } => Epilogue::Rbf {
-            gamma,
-            a_norms,
-            b_norms,
-        },
-        // The linear Gram *is* the product matrix.
-        Kernel::Linear => Epilogue::None,
-        Kernel::Polynomial { degree, coef0 } => Epilogue::Polynomial { degree, coef0 },
+    let Kernel::Rbf { gamma } = kernel;
+    Epilogue::Rbf {
+        gamma,
+        a_norms,
+        b_norms,
     }
 }
 
@@ -283,7 +321,7 @@ impl<'a> KernelRows<'a> {
         KernelRows {
             kernel,
             data,
-            norms: kernel_norms(kernel, data),
+            norms: row_norms(data),
             rows: vec![Vec::new(); data.nrows()],
         }
     }
@@ -432,36 +470,13 @@ mod tests {
     fn cross_matches_direct_evaluation() {
         let a = sample(7, 3);
         let b = sample(11, 3);
-        let kernel = Kernel::Linear;
+        let kernel = Kernel::Rbf { gamma: 0.9 };
         let cross = GramMatrix::cross(kernel, &a, &b).unwrap();
         assert_eq!(cross.shape(), (7, 11));
         for i in 0..7 {
             for j in 0..11 {
-                assert!(rel_err(cross[(i, j)], kernel.eval(a.row(i), b.row(j))) < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn cross_rbf_and_polynomial_match_direct_evaluation() {
-        let a = sample(6, 4);
-        let b = sample(9, 4);
-        for kernel in [
-            Kernel::Rbf { gamma: 0.9 },
-            Kernel::Polynomial {
-                degree: 3,
-                coef0: 1.5,
-            },
-        ] {
-            let cross = GramMatrix::cross(kernel, &a, &b).unwrap();
-            for i in 0..6 {
-                for j in 0..9 {
-                    let expected = kernel.eval(a.row(i), b.row(j));
-                    assert!(
-                        rel_err(cross[(i, j)], expected) < 1e-9,
-                        "{kernel:?} ({i}, {j})"
-                    );
-                }
+                let expected = kernel.eval(a.row(i), b.row(j));
+                assert!(rel_err(cross[(i, j)], expected) < 1e-9, "({i}, {j})");
             }
         }
     }
@@ -471,7 +486,7 @@ mod tests {
         let a = sample(4, 3);
         let b = sample(4, 2);
         assert!(matches!(
-            GramMatrix::cross(Kernel::Linear, &a, &b),
+            GramMatrix::cross(Kernel::default(), &a, &b),
             Err(StatsError::DimensionMismatch { .. })
         ));
     }
@@ -514,11 +529,6 @@ mod tests {
 
     #[test]
     fn from_squared_distances_rejects_bad_inputs() {
-        let d2 = pairwise_squared_distances(&sample(5, 2));
-        assert!(matches!(
-            GramMatrix::from_squared_distances(Kernel::Linear, d2),
-            Err(StatsError::InvalidParameter { .. })
-        ));
         assert!(matches!(
             GramMatrix::from_squared_distances(Kernel::Rbf { gamma: 1.0 }, Matrix::zeros(3, 4)),
             Err(StatsError::DimensionMismatch { .. })
@@ -561,14 +571,7 @@ mod tests {
     #[test]
     fn kernel_rows_match_symmetric_gram_bit_for_bit() {
         let data = sample(37, 5);
-        for kernel in [
-            Kernel::Rbf { gamma: 0.9 },
-            Kernel::Linear,
-            Kernel::Polynomial {
-                degree: 3,
-                coef0: 0.5,
-            },
-        ] {
+        for kernel in [Kernel::Rbf { gamma: 0.9 }, Kernel::Rbf { gamma: 40.0 }] {
             let gram = GramMatrix::symmetric(kernel, &data);
             let mut rows = KernelRows::new(kernel, &data);
             // A single row, a pair, then a block (through the cross GEMM)
@@ -605,7 +608,7 @@ mod tests {
 
     #[test]
     fn empty_gram_is_empty() {
-        let gram = GramMatrix::symmetric(Kernel::Linear, &Matrix::zeros(0, 0));
+        let gram = GramMatrix::symmetric(Kernel::default(), &Matrix::zeros(0, 0));
         assert!(gram.is_empty());
         assert_eq!(gram.total_sum(), 0.0);
         assert_eq!(gram.clone().into_matrix().shape(), (0, 0));

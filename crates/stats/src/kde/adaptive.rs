@@ -792,6 +792,32 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bits of every entry.
+    fn fnv1a(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// 20,000 streamed samples at the paper's 6 fingerprint columns and
+    /// the wide stack's 11 hash to the values the `powf`-only radius
+    /// sampler produced, so a change to the radius test cannot move a
+    /// single sampled bit unnoticed.
+    #[test]
+    fn streamed_samples_are_pinned() {
+        for (dim, want) in [(6, 0x2468_7ae4_72a2_8a6d), (11, 0x0d64_cf43_c7d5_e3cf)] {
+            let mvn =
+                crate::MultivariateNormal::independent(vec![0.5; dim], &vec![1.5; dim]).unwrap();
+            let data = mvn.sample_matrix(&mut StdRng::seed_from_u64(dim as u64), 90);
+            let kde = AdaptiveKde::fit(&data, &KdeConfig::default()).unwrap();
+            let got = fnv1a(kde.sample_matrix_streamed(2024, 20_000).as_slice());
+            assert_eq!(got, want, "d={dim}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn state_round_trip_is_bit_identical() {
         let data = gaussian_blob(120, 23);

@@ -2,6 +2,18 @@ use rand::Rng;
 
 use crate::MultivariateNormal;
 
+/// Relative margin of the radius test's cheap value: a draw farther than
+/// this from `r^{d−1}(1 − r²)` is decided on `powi`, which differs from
+/// `powf` by at most `(d − 1)·2⁻⁵³` relative (binary powering) plus
+/// `powf`'s own 1 ulp — under 3e-15 for any fingerprint width up to 20,
+/// far inside the margin.
+const SQUEEZE_MARGIN: f64 = 1e-12;
+
+/// Below this cheap value the test always takes the `powf` path, so a
+/// `powi` product that loses precision near the subnormal range is never
+/// trusted.
+const SQUEEZE_FLOOR: f64 = 1e-280;
+
 /// The multivariate Epanechnikov kernel (paper Eq. 6).
 ///
 /// `K_e(t) = ½·c_d⁻¹·(d+2)·(1 − tᵀt)` for `tᵀt < 1`, zero otherwise, where
@@ -95,20 +107,18 @@ impl Epanechnikov {
     /// Writes a random offset distributed according to the kernel into
     /// `out`.
     ///
-    /// Radius: rejection sampling from the marginal `∝ r^{d−1}(1 − r²)`.
-    /// Direction: uniform on the `d`-sphere (`d` normalized Gaussians,
-    /// drawn after the radius).
+    /// Radius: rejection sampling from the marginal `∝ r^{d−1}(1 − r²)`
+    /// (each try draws `r`, then `u`). Direction: uniform on the
+    /// `d`-sphere (`d` normalized Gaussians, drawn after the radius).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != dim()`.
     pub fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "kernel dimension mismatch");
-        let d = self.dim as f64;
         let radius = loop {
             let r: f64 = rng.random::<f64>();
-            let f = r.powf(d - 1.0) * (1.0 - r * r);
-            if rng.random::<f64>() * self.f_max <= f {
+            if self.accepts(r, rng.random::<f64>()) {
                 break r;
             }
         };
@@ -125,6 +135,20 @@ impl Epanechnikov {
         for v in out.iter_mut() {
             *v *= scale;
         }
+    }
+
+    /// The radius test `u·f_max ≤ r^{d−1}(1 − r²)` with `r^{d−1}` from
+    /// `powf`, decided on the cheaper `powi` value whenever the two sides
+    /// are more than [`SQUEEZE_MARGIN`] apart (a squeeze): the decision
+    /// equals the `powf`-only test's, so the sampled bits do too.
+    fn accepts(&self, r: f64, u: f64) -> bool {
+        let t = u * self.f_max;
+        let tail = 1.0 - r * r;
+        let cheap = r.powi(self.dim as i32 - 1) * tail;
+        if cheap >= SQUEEZE_FLOOR && (t - cheap).abs() > SQUEEZE_MARGIN * cheap {
+            return t <= cheap;
+        }
+        t <= r.powf(self.dim as f64 - 1.0) * tail
     }
 }
 
@@ -234,6 +258,55 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((var - 0.2).abs() < 0.01, "variance {var}");
+    }
+
+    /// The squeeze decides exactly as the `powf`-only test at every
+    /// width up to 20: over 1.2·10⁶ `(r, u)` pairs per run — uniform `r`,
+    /// `r` near the mode, `r` below 1e-6 down to 1e-300 — with `u`
+    /// uniform or placed on the acceptance boundary at relative offsets
+    /// from 1e-16 to 1e-10, just inside and just outside the margin.
+    #[test]
+    fn squeeze_decisions_match_the_powf_test() {
+        let mut rng = StdRng::seed_from_u64(2014);
+        let offsets = [
+            0.0, 1e-16, -1e-16, 1e-14, -1e-14, 9e-13, -9e-13, 1.01e-12, -1.01e-12, 2e-12, -2e-12,
+            1e-10, -1e-10,
+        ];
+        let (mut cheap, mut fallback) = (0_usize, 0_usize);
+        for dim in 1..=20 {
+            let k = Epanechnikov::new(dim);
+            let d = dim as f64;
+            let mode = ((d - 1.0) / (d + 1.0)).sqrt();
+            for case in 0..60_000 {
+                // Every r regime meets both u modes.
+                let r = match (case / 2) % 3 {
+                    0 => rng.random::<f64>(),
+                    1 => (mode + (rng.random::<f64>() - 0.5) * 1e-3).clamp(0.0, 1.0 - 1e-16),
+                    _ => 10f64.powf(-6.0 - 294.0 * rng.random::<f64>()),
+                };
+                let f = r.powf(d - 1.0) * (1.0 - r * r);
+                let u = if case % 2 == 0 {
+                    rng.random::<f64>()
+                } else {
+                    let off = offsets[(case / 6) % offsets.len()];
+                    (f * (1.0 + off) / k.f_max).min(1.0 - f64::EPSILON)
+                };
+                let want = u * k.f_max <= f;
+                assert_eq!(k.accepts(r, u), want, "d={dim} r={r:e} u={u:e}");
+                let c = r.powi(dim as i32 - 1) * (1.0 - r * r);
+                if c >= SQUEEZE_FLOOR && (u * k.f_max - c).abs() > SQUEEZE_MARGIN * c {
+                    cheap += 1;
+                } else {
+                    fallback += 1;
+                }
+            }
+        }
+        // Both paths ran: most pairs decide cheaply, boundary and tiny-r
+        // pairs fall back.
+        assert!(
+            cheap > 500_000 && fallback > 100_000,
+            "{cheap} / {fallback}"
+        );
     }
 
     #[test]

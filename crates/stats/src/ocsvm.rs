@@ -240,7 +240,7 @@ impl OneClassSvm {
 
     /// The support-vector kernel sum `Σ αᵢ·k(svᵢ, x)`.
     ///
-    /// For the RBF kernel each pair runs the GEMM-form identity
+    /// Each pair runs the GEMM-form identity
     /// `‖x − sv‖² = (‖x‖² + ‖sv‖² − 2⟨sv, x⟩).max(0)` with ascending
     /// single-accumulator folds for the dot products and norms — the exact
     /// per-element arithmetic of the fused batch path
@@ -254,13 +254,7 @@ impl OneClassSvm {
     fn kernel_expansion_sum(&self, x: &[f64]) -> f64 {
         const DECISION_STRIP: usize = 64;
         let (points, coeffs) = (&self.points, &self.coeffs);
-        let Kernel::Rbf { gamma } = self.kernel else {
-            return points
-                .rows_iter()
-                .zip(coeffs)
-                .map(|(sv, a)| a * self.kernel.eval(sv, x))
-                .sum();
-        };
+        let Kernel::Rbf { gamma } = self.kernel;
         let n = points.nrows();
         let xn = gemm::self_dot_fold(x);
         let mut buf = [0.0f64; DECISION_STRIP];
@@ -343,18 +337,13 @@ impl OneClassSvm {
             });
         }
         check_finite_matrix("x", x)?;
-        if let Kernel::Rbf { gamma } = self.kernel {
-            // Batched fused path: chunked packed GEMM + RBF epilogue +
-            // coefficient fold, bit-identical to the pointwise loop below
-            // (both run the same identity-form per-pair arithmetic).
-            gemm::rbf_expansion_rows(x, &self.points, gamma, &self.coeffs, out);
-            for o in out.iter_mut() {
-                *o -= self.rho;
-            }
-            return Ok(());
-        }
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.decision_value(x.row(i));
+        // Batched fused path: chunked packed GEMM + RBF epilogue +
+        // coefficient fold, bit-identical to the pointwise path (both run
+        // the same identity-form per-pair arithmetic).
+        let Kernel::Rbf { gamma } = self.kernel;
+        gemm::rbf_expansion_rows(x, &self.points, gamma, &self.coeffs, out);
+        for o in out.iter_mut() {
+            *o -= self.rho;
         }
         Ok(())
     }

@@ -26,6 +26,9 @@ hardened=(
     crates/stats/src/qp/smo.rs
     crates/stats/src/qp/active_set.rs
     crates/stats/src/gram.rs
+    crates/stats/src/kernel.rs
+    crates/stats/src/mars/model.rs
+    crates/stats/src/kde/kernel.rs
     crates/linalg/src/lu.rs
     crates/linalg/src/qr.rs
     crates/linalg/src/eigen.rs
@@ -157,8 +160,10 @@ else
     # same coefficient and GCV bits as a pruning that refits every trial.
     cargo test -q -p sidefp-stats --lib mars
     # KDE sampler smoke: rows written in place must match the allocating
-    # reference sampler bit for bit at 1 and 2 workers.
-    cargo test -q -p sidefp-stats --lib kde::adaptive
+    # reference sampler bit for bit at 1 and 2 workers, streamed samples
+    # must hash to their pinned values, and the squeezed radius test must
+    # decide as the powf-only test on every probed (r, u) pair.
+    cargo test -q -p sidefp-stats --lib kde::
     # Fit -> save -> load -> score smoke: the artifact codec must
     # round-trip byte-exactly and the loaded model must score
     # bit-identically to the in-process fit at any thread count.

@@ -6,10 +6,13 @@
 //! reductions in fixed-width chunks, so a run is a pure function of the
 //! seed — these tests pin that contract at the integration level.
 
-use sidefp_core::{ExperimentConfig, PaperExperiment, ParallelismConfig};
+use sidefp_chip::trojan::TrojanSuite;
+use sidefp_core::scenario::{channel_sets, Scenario};
+use sidefp_core::{ExperimentConfig, PaperExperiment, ParallelismConfig, RunContext};
 use sidefp_silicon::foundry::Foundry;
 use sidefp_silicon::monte_carlo::MonteCarloEngine;
 use sidefp_silicon::pcm::PcmSuite;
+use sidefp_silicon::{ProcessCorner, TechnologyPreset};
 use sidefp_stats::{KernelMeanMatching, KmmConfig};
 
 /// `MonteCarlo::run_streamed` yields the same sample matrix at 1 and 8
@@ -84,6 +87,53 @@ fn full_experiment_identical_across_thread_counts() {
     let pooled = run(8);
     assert_eq!(single.table1, pooled.table1);
     assert_eq!(single.golden_baseline, pooled.golden_baseline);
+}
+
+/// A run's trace and run health are the same at 1 and at 2 workers,
+/// event for event: a reduced paper run, and a reduced run of the widest
+/// multi-parameter stack (11 fingerprint columns, 3 PCMs), whose
+/// regression bank fits its columns across the pool and must still log
+/// its `model_fit` events in column order.
+#[test]
+fn trace_and_run_health_identical_at_one_and_two_workers() {
+    let base = ExperimentConfig {
+        seed: 5,
+        chips: 10,
+        mc_samples: 60,
+        kde_samples: 3000,
+        ..Default::default()
+    };
+    let widest = channel_sets(&base.meter).pop().unwrap();
+    let wide = Scenario::new(
+        widest,
+        TrojanSuite::rf_leaks(base.amplitude_delta, base.frequency_delta),
+        ProcessCorner::Typical,
+        TechnologyPreset::paper(),
+    )
+    .config(&base, base.seed);
+    for (name, config, columns) in [("paper", base.clone(), 6), ("wide", wide, 11)] {
+        let run = |threads: usize| {
+            let mut config = config.clone();
+            config.parallelism.threads = threads;
+            let obs = RunContext::new();
+            let arts = PaperExperiment::new(config)
+                .unwrap()
+                .run_in_context(&obs)
+                .unwrap();
+            (obs.trace_jsonl(), arts.result.health, arts.result.table1)
+        };
+        let (one, two) = (run(1), run(2));
+        let (lines_one, lines_two): (Vec<&str>, Vec<&str>) =
+            (one.0.lines().collect(), two.0.lines().collect());
+        assert_eq!(lines_one.len(), lines_two.len(), "{name}: event count");
+        for (a, b) in lines_one.iter().zip(&lines_two) {
+            assert_eq!(a, b, "{name}: trace event");
+        }
+        let fits = lines_one.iter().filter(|l| l.contains("model_fit")).count();
+        assert_eq!(fits, columns, "{name}: one model_fit event per column");
+        assert_eq!(one.1, two.1, "{name}: run health");
+        assert_eq!(one.2, two.2, "{name}: Table 1");
+    }
 }
 
 /// The paper-default run's KMM weights and QP health, pinned to the bits
